@@ -511,12 +511,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .pipeline import (
-        distribution_from_dict,
-        render_chart,
-        render_csv,
-        render_json,
-    )
+    from .pipeline import RENDERERS, distribution_from_dict
 
     try:
         with open(args.infile, encoding="utf-8") as fh:
@@ -526,9 +521,7 @@ def cmd_report(args) -> int:
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.infile}: not valid JSON: {exc}") from exc
     dist = distribution_from_dict(doc)
-    renderers = {"json": render_json, "csv": render_csv,
-                 "text-chart": render_chart}
-    _write_or_print(renderers[args.format](dist), args.out)
+    _write_or_print(RENDERERS[args.format](dist), args.out)
     return 0
 
 
@@ -649,10 +642,11 @@ def _build_parser():
     p.add_argument("--features", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
 
+    from .pipeline import RENDERERS
+
     p = sub("report", cmd_report, help="re-render a distribution file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=["json", "csv", "text-chart"],
-                   default="text-chart")
+    p.add_argument("--format", choices=list(RENDERERS), default="text-chart")
     p.add_argument("--out")
 
     return parser, registry

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .model import predict_batch
 
 __all__ = [
     "ConfusionMatrix",
@@ -166,7 +167,7 @@ def evaluate(
     model_tag: str = "",
     back_translation: bool = False,
 ) -> EvaluationReport:
-    """Predict every example and report metrics.
+    """Predict every example, in one ``predict_batch`` call, and report metrics.
 
     When a topic model is supplied, each text gets its topic words appended
     before prediction, matching a training run that used topic concatenation.
@@ -188,7 +189,7 @@ def evaluate(
     else:
         texts = [e.text for e in dataset]
 
-    preds = [model.predict(text)[0] for text in texts]
+    preds = [label for label, _ in predict_batch(model, texts)]
     golds = [_example_label(e) for e in dataset]
     classes = tuple(model.class_list)
     cm = confusion(preds, golds, classes)

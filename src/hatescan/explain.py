@@ -1,11 +1,12 @@
 """Local explanations for single predictions.
 
-Word-masking perturbations of the input are scored by the model, and a
-kernel-weighted ridge regression of those scores on the mask bits yields a
-signed weight per token: how much keeping that token pushed the probability
-of the class under study. Short texts skip sampling entirely and enumerate
-every non-empty mask, which doubles as a brute-force reference for the
-sampled path.
+Word-masking perturbations of the input are scored by the model in one
+batch (``model.predict_batch``, so the bundled classifier hashes the n-grams
+the perturbations share only once), and a kernel-weighted ridge regression
+of those scores on the mask bits yields a signed weight per token: how much
+keeping that token pushed the probability of the class under study. Short
+texts skip sampling entirely and enumerate every non-empty mask, which
+doubles as a brute-force reference for the sampled path.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ModelError
+from .model import predict_batch
 from .normalize import NormalizerConfig, normalize
 
 __all__ = [
@@ -89,13 +91,6 @@ def _all_masks(tokens):
     return [(m, " ".join(t for t, bit in zip(tokens, m) if bit)) for m in masks]
 
 
-def _class_probability(model, text: str, class_index: int, cls: str) -> float:
-    _, probs = model.predict(text)
-    if hasattr(probs, "get"):
-        return float(probs[cls])
-    return float(probs[class_index])
-
-
 def lime_explain(model, text: str, cls: str,
                  config: ExplainConfig | None = None,
                  normalizer_config: NormalizerConfig | None = None) -> Explanation:
@@ -136,8 +131,9 @@ def lime_explain(model, text: str, cls: str,
     kept = masks.sum(axis=1)
     distances = 1.0 - np.sqrt(kept / k)
     pi = np.exp(-(distances**2) / width**2)
-    y = np.array([_class_probability(model, t, class_index, cls)
-                  for _, t in samples])
+    # probs is a dict keyed by class or a sequence aligned with class_list
+    y = np.array([float(probs[cls] if hasattr(probs, "get") else probs[class_index])
+                  for _, probs in predict_batch(model, [t for _, t in samples])])
 
     # design matrix with the intercept column first
     design = np.hstack([np.ones((len(samples), 1)), masks])

@@ -5,6 +5,11 @@ and character n-grams, trained with mini-batch Adam (or plain SGD) on a
 weighted cross-entropy loss. Anything exposing ``predict(text)`` and
 ``class_list`` can stand in for it downstream, so a heavier backend can be
 attached without touching the rest of the pipeline.
+
+Callers that hold a list of texts (training, evaluation, explanations) go
+through ``featurize_batch`` and ``predict_batch``. They return exactly what
+``featurize`` and ``predict`` return per text, but hash each distinct n-gram
+only once per call.
 """
 
 from __future__ import annotations
@@ -25,22 +30,24 @@ __all__ = [
     "Hyperparams",
     "SparseVector",
     "TrainedClassifier",
-    "TRANSFORMER_LEARNING_RATE",
     "featurize",
+    "featurize_batch",
     "class_weights",
     "weighted_ce_loss",
     "train",
     "predict",
+    "predict_batch",
     "save",
     "load",
 ]
 
-# fine-tuning rate reported for transformer backends; the self-contained
-# baseline needs a much larger step and defaults to 1e-3
-TRANSFORMER_LEARNING_RATE = 5e-5
-
 _MAGIC = b"HSCM"
 _VERSION = 1
+
+# the n-gram hash memo of one featurize_batch call is cleared once it holds
+# this many entries (about 1 MB), so a huge batch cannot grow it without
+# limit; one explanation of a 20-token post needs under a thousand
+_MEMO_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -115,11 +122,48 @@ class TrainedClassifier:
         return predict(self, text)
 
 
-def _hash_token(token: str, seed: int, mask: int) -> int:
-    digest = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, salt=seed.to_bytes(8, "little", signed=False)
-    ).digest()
-    return int.from_bytes(digest, "little") & mask
+def _featurize_each(texts, config: FeatureConfig):
+    """Yield the ``featurize`` vector of each text in turn.
+
+    One memo maps each n-gram string, namespace prefix included, to its
+    bucket, so an n-gram shared by many texts is hashed once. The salt and
+    the prefixes are built once per call rather than once per n-gram.
+    """
+    mask = config.hash_dim - 1
+    salt = config.hash_seed.to_bytes(8, "little", signed=False)
+    word_families = [(n, f"w{n}\x00") for n in config.word_ngrams]
+    char_families = [(n, f"c{n}\x00") for n in config.char_ngrams]
+    memo: dict[str, int] = {}
+    for text in texts:
+        words = text.split()
+        grams = [prefix + " ".join(words[i : i + n])
+                 for n, prefix in word_families for i in range(len(words) - n + 1)]
+        grams += [prefix + text[i : i + n]
+                  for n, prefix in char_families for i in range(len(text) - n + 1)]
+        counts: dict[int, float] = {}
+        for gram in grams:
+            key = memo.get(gram)
+            if key is None:
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, salt=salt).digest()
+                key = memo[gram] = int.from_bytes(digest, "little") & mask
+            counts[key] = counts.get(key, 0.0) + 1.0
+
+        if not counts:
+            yield SparseVector(np.empty(0, dtype=np.int64), np.empty(0), config.hash_dim)
+            continue
+        indices = np.array(sorted(counts), dtype=np.int64)
+        values = np.array([counts[i] for i in indices.tolist()])
+        values /= np.linalg.norm(values)
+        yield SparseVector(indices, values, config.hash_dim)
+
+
+def featurize_batch(texts, config: FeatureConfig | None = None) -> list:
+    """``featurize`` of every text, hashing each distinct n-gram once per call."""
+    if config is None:
+        config = FeatureConfig()
+    return list(_featurize_each(texts, config))
 
 
 def featurize(text: str, config: FeatureConfig | None = None) -> SparseVector:
@@ -129,28 +173,7 @@ def featurize(text: str, config: FeatureConfig | None = None) -> SparseVector:
     bigram can never collide with a character trigram of the same letters.
     The count vector is L2-normalized; empty text gives the zero vector.
     """
-    if config is None:
-        config = FeatureConfig()
-    mask = config.hash_dim - 1
-    seed = config.hash_seed
-    counts: dict[int, float] = {}
-
-    words = text.split()
-    for n in config.word_ngrams:
-        for i in range(len(words) - n + 1):
-            key = _hash_token(f"w{n}\x00" + " ".join(words[i : i + n]), seed, mask)
-            counts[key] = counts.get(key, 0.0) + 1.0
-    for n in config.char_ngrams:
-        for i in range(len(text) - n + 1):
-            key = _hash_token(f"c{n}\x00" + text[i : i + n], seed, mask)
-            counts[key] = counts.get(key, 0.0) + 1.0
-
-    if not counts:
-        return SparseVector(np.empty(0, dtype=np.int64), np.empty(0), config.hash_dim)
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices.tolist()])
-    values /= np.linalg.norm(values)
-    return SparseVector(indices, values, config.hash_dim)
+    return featurize_batch([text], config)[0]
 
 
 def class_weights(counts: dict) -> dict:
@@ -343,9 +366,9 @@ def train(
     else:
         weights_vec = np.ones(len(class_list))
 
-    train_feats = [featurize(e.text, fc) for e in train_examples]
+    feats = featurize_batch([e.text for e in train_examples + val_examples], fc)
+    train_feats, val_feats = feats[: len(train_examples)], feats[len(train_examples) :]
     train_labels = [class_index[_example_label(e)] for e in train_examples]
-    val_feats = [featurize(e.text, fc) for e in val_examples]
     val_labels = []
     for e in val_examples:
         label = _example_label(e)
@@ -399,7 +422,23 @@ def predict(model: TrainedClassifier, text: str):
     Ties in the probability vector resolve to the lowest class index, so
     prediction is deterministic even for degenerate models.
     """
-    vec = featurize(text, model.feature_config)
+    return _predict_vector(model, featurize(text, model.feature_config))
+
+
+def predict_batch(model, texts) -> list:
+    """``predict`` of every text, as a list of (label, probs).
+
+    The bundled classifier featurizes the texts in one memoized pass; any
+    other model (the external backend contract: ``class_list`` plus
+    ``predict(text)``) is asked text by text.
+    """
+    if not isinstance(model, TrainedClassifier):
+        return [model.predict(text) for text in texts]
+    return [_predict_vector(model, vec)
+            for vec in _featurize_each(texts, model.feature_config)]
+
+
+def _predict_vector(model: TrainedClassifier, vec: SparseVector):
     logits = model.weights[:, vec.indices] @ vec.values + model.bias
     probs = _softmax(logits)
     return model.class_list[int(np.argmax(probs))], probs

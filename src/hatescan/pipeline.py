@@ -38,6 +38,7 @@ __all__ = [
     "render_json",
     "render_csv",
     "render_chart",
+    "RENDERERS",
     "distribution_from_dict",
     "report",
 ]
@@ -299,16 +300,17 @@ def render_chart(dist: TargetDistribution, width: int = 40) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RENDERERS = {"json": render_json, "csv": render_csv, "text-chart": render_chart}
+# report format name -> renderer, for report() and `hatescan report --format`
+RENDERERS = {"json": render_json, "csv": render_csv, "text-chart": render_chart}
 
 
 def report(dist: TargetDistribution, fmt: str, path: str) -> str:
     """Write the distribution in the requested format; returns the path."""
     try:
-        renderer = _RENDERERS[fmt]
+        renderer = RENDERERS[fmt]
     except KeyError:
         raise ValueError(
-            f"unknown format {fmt!r}; choose from {sorted(_RENDERERS)}") from None
+            f"unknown format {fmt!r}; choose from {sorted(RENDERERS)}") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(renderer(dist))
     return path

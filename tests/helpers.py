@@ -33,3 +33,17 @@ def load_golden_pairs(filename: str = "normalize_golden.tsv") -> list[tuple[str,
             raw, want = line.split("\t")
             pairs.append((unescape(raw), unescape(want)))
     return pairs
+
+
+class PredictOnly:
+    """A model seen only through the external backend contract, class_list
+    plus predict(text), so every consumer takes its per-text path."""
+
+    def __init__(self, model):
+        self.class_list = model.class_list
+        self.texts: list[str] = []
+        self._model = model
+
+    def predict(self, text: str):
+        self.texts.append(text)
+        return self._model.predict(text)

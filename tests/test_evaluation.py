@@ -16,6 +16,9 @@ from hatescan.evaluation import (
     render_text_table,
     report_to_dict,
 )
+from hatescan.model import FeatureConfig, Hyperparams, train
+
+from helpers import PredictOnly
 
 
 def binary_cm(tp: int, fn: int, fp: int, tn: int) -> ConfusionMatrix:
@@ -216,6 +219,20 @@ def test_evaluate_rejects_empty_and_augmented() -> None:
     augmented = [LabeledExample(text="hate x", label="hate", origin="t", augmented=True)]
     with pytest.raises(DataError):
         evaluate(OracleModel(("hate", "normal")), _dataset() + augmented)
+
+
+def test_evaluate_batched_matches_the_per_text_contract() -> None:
+    data = _dataset() + [
+        LabeledExample(text=f"sample {w}", label=lab, origin="t")
+        for w, lab in (("hate", "normal"), ("normal", "hate"), ("", "hate"))
+    ]
+    model = train(_dataset(), [], Hyperparams(max_epochs=2, seed=0),
+                  FeatureConfig(hash_dim=2**10))
+    backend = PredictOnly(model)
+    for positive in ("hate", None):
+        assert evaluate(model, data, positive=positive) == evaluate(
+            backend, data, positive=positive)
+    assert backend.texts == [e.text for e in data] * 2
 
 
 # ---------------------------------------------------------------- rendering

@@ -18,6 +18,8 @@ from hatescan.explain import (
 )
 from hatescan.model import Hyperparams, train
 
+from helpers import PredictOnly
+
 
 class KeywordModel:
     """Probability 0.9 for the positive class iff the keyword is present."""
@@ -251,6 +253,24 @@ def test_trained_target_model_blames_the_keyword():
     expl = lime_explain(model, sentence, "Jewish")
     assert expl.token_weights[0][0] == "jews"
     assert expl.token_weights[0][1] > 0
+
+
+@pytest.mark.parametrize("sentence, config", [
+    ("jews have a monopoly on evil", ExplainConfig()),
+    ("jews have a monopoly on evil and muslim people always really such "
+     "nobody again everyone", ExplainConfig(n_samples=200, seed=3)),
+])
+def test_batched_scoring_matches_the_per_text_contract(sentence, config):
+    """The bundled model scores masks in one batch; a backend that only has
+    predict(text) is asked mask by mask. Both must give the same explanation."""
+    model = train(synthetic_target_corpus(),
+                  [], Hyperparams(max_epochs=3, learning_rate=0.1, seed=0))
+    backend = PredictOnly(model)
+    batched = lime_explain(model, sentence, "Jewish", config)
+    assert batched == lime_explain(backend, sentence, "Jewish", config)
+    k = len(sentence.split())
+    assert len(backend.texts) == (2**k - 1 if k <= EXHAUSTIVE_TOKEN_LIMIT
+                                  else config.n_samples)
 
 
 # ------------------------------------------------------------- rendering

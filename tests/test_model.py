@@ -1,5 +1,6 @@
 """Tests for featurization, weighted loss, training and persistence."""
 
+import hashlib
 import math
 import os
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hatescan.model
 from hatescan.corpus import LabeledExample
 from hatescan.errors import ModelError
 from hatescan.model import (
@@ -18,12 +20,16 @@ from hatescan.model import (
     _epoch_pass,
     class_weights,
     featurize,
+    featurize_batch,
     load,
     predict,
+    predict_batch,
     save,
     train,
     weighted_ce_loss,
 )
+
+from helpers import PredictOnly
 
 SMALL_FC = FeatureConfig(hash_dim=2**10)
 
@@ -105,6 +111,127 @@ def test_featurize_seed_changes_hashes() -> None:
     a = featurize("same text", SMALL_FC).to_dense()
     b = featurize("same text", FeatureConfig(hash_dim=2**10, hash_seed=7)).to_dense()
     assert not np.array_equal(a, b)
+
+
+def test_featurize_hashes_are_pinned() -> None:
+    # Model files store weights by hash bucket, so the bucket of every n-gram
+    # (blake2b, 8-byte digest, little-endian seed as salt) is part of the
+    # file format. Recorded from the one-hash-per-n-gram featurizer.
+    vec = featurize("no no no café", FeatureConfig())
+    assert vec.indices.tolist() == [
+        9397, 33250, 57433, 61590, 67291, 77576, 115784, 121255, 122865,
+        135580, 160516, 162260, 162499, 166519, 180687, 185472, 195714,
+        203241, 230238, 231088, 232198, 235610, 252957, 255751, 259386,
+    ]
+    counts = np.array([2, 2, 2, 2, 3, 2, 1, 3, 1, 1, 1, 2, 1, 1, 1, 2,
+                       1, 1, 2, 1, 1, 1, 1, 1, 1], dtype=np.float64)
+    np.testing.assert_allclose(vec.values, counts / math.sqrt(65), rtol=0, atol=1e-15)
+
+
+BATCH_TEXTS = [
+    "some normalized text here",
+    "",
+    "some normalized text here",
+    "café naïve straße 😂 ünïcode",
+    "repeat repeat repeat and more words",
+    "a",
+    "some normalized text",
+    "",
+]
+
+
+def reference_grams(text: str, fc: FeatureConfig) -> list:
+    """Every n-gram of the text with its namespace prefix, in text order."""
+    words = text.split()
+    return ([f"w{n}\x00" + " ".join(words[i : i + n])
+             for n in fc.word_ngrams for i in range(len(words) - n + 1)]
+            + [f"c{n}\x00" + text[i : i + n]
+               for n in fc.char_ngrams for i in range(len(text) - n + 1)])
+
+
+def reference_featurize(text: str, fc: FeatureConfig):
+    """Counts per bucket with one blake2b call per n-gram, written out
+    independently of the module."""
+    salt = fc.hash_seed.to_bytes(8, "little")
+    counts: dict = {}
+    for gram in reference_grams(text, fc):
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, salt=salt).digest()
+        key = int.from_bytes(digest, "little") & (fc.hash_dim - 1)
+        counts[key] = counts.get(key, 0.0) + 1.0
+    indices = np.array(sorted(counts), dtype=np.int64)
+    values = np.array([counts[i] for i in indices.tolist()], dtype=np.float64)
+    if len(values):
+        values /= np.linalg.norm(values)
+    return indices, values
+
+
+def assert_same_vectors(got, texts, fc) -> None:
+    assert len(got) == len(texts)
+    for vec, text in zip(got, texts):
+        one = featurize(text, fc)
+        ref_indices, ref_values = reference_featurize(text, fc)
+        assert vec.dim == one.dim == fc.hash_dim
+        for indices, values in ((one.indices, one.values), (ref_indices, ref_values)):
+            assert vec.indices.dtype == indices.dtype == np.int64
+            assert vec.values.dtype == values.dtype == np.float64
+            assert np.array_equal(vec.indices, indices)
+            assert np.array_equal(vec.values, values)
+
+
+@pytest.mark.parametrize("fc", [SMALL_FC, FeatureConfig(hash_seed=3)])
+def test_featurize_batch_matches_featurize(fc) -> None:
+    assert_same_vectors(featurize_batch(BATCH_TEXTS, fc), BATCH_TEXTS, fc)
+
+
+def _count_blake2b(monkeypatch) -> list:
+    calls = []
+    real = hashlib.blake2b
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "blake2b", counting)
+    return calls
+
+
+def test_featurize_batch_hashes_each_distinct_ngram_once(monkeypatch) -> None:
+    calls = _count_blake2b(monkeypatch)
+    # "the cat" has no n-gram that "the cat the cat" lacks
+    featurize_batch(["the cat the cat"] * 5 + ["the cat"], SMALL_FC)
+    distinct = {g.encode("utf-8") for g in reference_grams("the cat the cat", SMALL_FC)}
+    assert sorted(calls) == sorted(distinct)
+
+
+def test_featurize_batch_crossing_the_memo_cap_changes_nothing(monkeypatch) -> None:
+    texts = BATCH_TEXTS * 3
+    monkeypatch.setattr(hatescan.model, "_MEMO_LIMIT", 4)
+    calls = _count_blake2b(monkeypatch)
+    got = featurize_batch(texts, SMALL_FC)
+    distinct = {g for t in texts for g in reference_grams(t, SMALL_FC)}
+    assert len(calls) > len(distinct)  # the memo was cleared and refilled
+    assert_same_vectors(got, texts, SMALL_FC)
+
+
+def test_predict_batch_matches_predict() -> None:
+    model = train(make_separable(20), [], Hyperparams(max_epochs=3, seed=0), SMALL_FC)
+    texts = [e.text for e in make_separable(5, seed=1)] + BATCH_TEXTS
+    for backend in (model, PredictOnly(model)):
+        got = predict_batch(backend, texts)
+        assert len(got) == len(texts)
+        for (label, probs), text in zip(got, texts):
+            want_label, want_probs = predict(model, text)
+            assert label == want_label
+            assert probs.dtype == want_probs.dtype
+            assert np.array_equal(probs, want_probs)
+
+
+def test_predict_batch_asks_other_backends_text_by_text() -> None:
+    model = train(make_separable(10), [], Hyperparams(max_epochs=1, seed=0), SMALL_FC)
+    backend = PredictOnly(model)
+    predict_batch(backend, BATCH_TEXTS)
+    assert backend.texts == BATCH_TEXTS
+    assert predict_batch(backend, []) == []
 
 
 def test_feature_config_validation() -> None:
