@@ -142,6 +142,19 @@ def _report_diagnostics(loaded, label: str) -> None:
         logger.warning("%s: %d rows dropped without a majority vote", label, dropped)
 
 
+def _binarize_labeled(posts, threshold: int, path: str) -> list:
+    """Binarize Parler posts at the threshold, skipping unlabeled ones."""
+    rows, unlabeled = [], 0
+    for post in posts:
+        try:
+            rows.append(binarize(post, threshold))
+        except DataError:
+            unlabeled += 1
+    if unlabeled:
+        logger.warning("%s: %d unlabeled posts skipped", path, unlabeled)
+    return rows
+
+
 def _load_training_rows(path: str, task: str, threshold: int,
                         keep_politician: bool):
     """Accept unified example files, raw labeled Parler, or raw TAP.
@@ -153,14 +166,7 @@ def _load_training_rows(path: str, task: str, threshold: int,
         if "label_mean" in keys:
             posts = load_parler(path)
             _report_diagnostics(posts, path)
-            rows, unlabeled = [], 0
-            for post in posts:
-                try:
-                    rows.append(binarize(post, threshold))
-                except DataError:
-                    unlabeled += 1
-            if unlabeled:
-                logger.warning("%s: %d unlabeled posts skipped", path, unlabeled)
+            rows = _binarize_labeled(posts, threshold, path)
             if not rows:
                 raise DataError(f"{path}: no labeled posts at threshold {threshold}")
             return rows
@@ -275,14 +281,7 @@ def cmd_ingest(args) -> int:
     loaded = loaders[args.format]()
     _report_diagnostics(loaded, args.infile)
     if args.format == "parler":
-        rows, unlabeled = [], 0
-        for post in loaded:
-            try:
-                rows.append(binarize(post, args.threshold))
-            except DataError:
-                unlabeled += 1
-        if unlabeled:
-            logger.warning("%d unlabeled posts skipped", unlabeled)
+        rows = _binarize_labeled(loaded, args.threshold, args.infile)
     else:
         rows = list(loaded)
     save_examples(rows, args.out)

@@ -10,6 +10,12 @@ Callers that hold a list of texts (training, evaluation, explanations) go
 through ``featurize_batch`` and ``predict_batch``. They return exactly what
 ``featurize`` and ``predict`` return per text, but hash each distinct n-gram
 only once per call.
+
+Training runs on the hashed columns its texts touch, not on all ``hash_dim``
+of them, and writes the result into a full-width matrix at the end. That is
+exact: an untouched column has a zero gradient at every step, so Adam and
+SGD leave it at ``+0.0``, and every touched element goes through the same
+float operations in the same order as on full-width arrays.
 """
 
 from __future__ import annotations
@@ -343,6 +349,10 @@ def train(
     early stopping; when it triggers, the returned weights are the snapshot
     from the best validation epoch, not the last one. An empty validation set
     disables early stopping and the final weights are returned.
+
+    The weights and optimizer state span only the columns that some training
+    or validation text touches; the rest stay exactly ``+0.0``, so the model
+    is bit for bit the one a full-width optimizer would produce.
     """
     if hp is None:
         hp = Hyperparams()
@@ -367,6 +377,13 @@ def train(
         weights_vec = np.ones(len(class_list))
 
     feats = featurize_batch([e.text for e in train_examples + val_examples], fc)
+    # train on the touched columns only; searchsorted maps each index to its
+    # position in cols and keeps every vector's indices sorted and unique, so
+    # each gather and matmul sees the same values in the same order as on
+    # full-width weights
+    cols = np.unique(np.concatenate([vec.indices for vec in feats]))
+    feats = [SparseVector(np.searchsorted(cols, vec.indices), vec.values, len(cols))
+             for vec in feats]
     train_feats, val_feats = feats[: len(train_examples)], feats[len(train_examples) :]
     train_labels = [class_index[_example_label(e)] for e in train_examples]
     val_labels = []
@@ -376,7 +393,7 @@ def train(
             raise ValueError(f"validation label {label!r} never seen in training")
         val_labels.append(class_index[label])
 
-    w = np.zeros((len(class_list), fc.hash_dim))
+    w = np.zeros((len(class_list), len(cols)))
     b = np.zeros(len(class_list))
     rng = random.Random(hp.seed)
     opt = _AdamState(w, b, hp) if hp.optimizer == "adam" else _SgdState(hp)
@@ -411,8 +428,10 @@ def train(
 
     if val_examples:
         w, b = best_snapshot
+    full = np.zeros((len(class_list), fc.hash_dim))
+    full[:, cols] = w
     return TrainedClassifier(
-        weights=w, bias=b, class_list=class_list, feature_config=fc, training_log=log
+        weights=full, bias=b, class_list=class_list, feature_config=fc, training_log=log
     )
 
 

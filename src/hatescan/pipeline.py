@@ -129,23 +129,11 @@ def classify_post(text: str, pipeline: Pipeline) -> Classification:
     cannot place with a minority group come back as Other by that model's
     own training contract.
     """
-    if isinstance(pipeline, PipelineConfig):
-        pipeline = load_pipeline(pipeline)
-    normalized = str(normalize(text, pipeline.normalizer_config))
-    label = pipeline.detector.predict(normalized)[0]
-    if label != HATE:
-        return Classification(label=NORMAL)
-    staged = normalized
-    if pipeline.topic_model is not None:
-        from .topics import assign_topic, concat_topic
-
-        topic = assign_topic(pipeline.topic_model, normalized)
-        staged = concat_topic(normalized, pipeline.topic_model, topic)
-    target = pipeline.target_model.predict(staged)[0]
-    return Classification(label=HATE, target=target)
+    return _classify_timed(text, pipeline)[0]
 
 
 def _classify_timed(text: str, pipeline: Pipeline):
+    """classify_post, plus the seconds spent in the detector and the target model."""
     normalized = str(normalize(text, pipeline.normalizer_config))
     started = time.perf_counter()
     label = pipeline.detector.predict(normalized)[0]

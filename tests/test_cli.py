@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import logging
 import os
 import random
 import shutil
@@ -199,6 +200,25 @@ def test_ingest_tap_folds_politician(tmp_path):
                  "--out", str(kept), "--keep-politician"]) == 0
     assert all(e.target != "Politician" for e in load_examples(str(folded)))
     assert any(e.target == "Politician" for e in load_examples(str(kept)))
+
+
+def test_ingest_and_train_report_unlabeled_parler_posts(tmp_path, caplog):
+    raw = tmp_path / "parler.jsonl"
+    write_parler(str(raw), n_hate=4, n_normal=4)
+    with open(raw, "a", encoding="utf-8") as fh:
+        for i in range(2):
+            fh.write(json.dumps({"id": f"u{i}", "text": "no votes yet",
+                                 "label_mean": None}) + "\n")
+    caplog.set_level(logging.WARNING, logger="hatescan.cli")
+    out = tmp_path / "examples.jsonl"
+    assert main(["ingest", "--format", "parler", "--in", str(raw),
+                 "--out", str(out)]) == 0
+    assert len(load_examples(str(out))) == 8
+    assert main(["train", "--task", "detect", "--in", str(raw),
+                 "--out", str(tmp_path / "m.bin"), "--epochs", "1",
+                 "--hash-dim", "1024"]) == 0
+    skipped = [r.getMessage() for r in caplog.records if "unlabeled" in r.getMessage()]
+    assert skipped == [f"{raw}: 2 unlabeled posts skipped"] * 2
 
 
 def test_ingest_missing_file_is_data_error(tmp_path, capsys):

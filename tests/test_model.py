@@ -29,7 +29,7 @@ from hatescan.model import (
     weighted_ce_loss,
 )
 
-from helpers import PredictOnly
+from helpers import PredictOnly, dense_train
 
 SMALL_FC = FeatureConfig(hash_dim=2**10)
 
@@ -439,6 +439,95 @@ def test_training_log_structure() -> None:
     first = model.training_log[0]
     assert set(first) == {"epoch", "train_loss", "train_accuracy", "val_loss", "val_accuracy"}
     assert first["val_loss"] is not None
+
+
+# ---------------------------------------------------------------- compact optimizer state
+
+
+def _noisy_split():
+    """Every fifth label flipped, so validation loss turns up and stops training
+    early; empty texts on both sides and validation n-grams unseen in training."""
+    examples = make_separable(30, seed=7)
+    flip = {"hate": "normal", "normal": "hate"}
+    noisy = [LabeledExample(e.text, flip[e.label], e.origin) if i % 5 == 0 else e
+             for i, e in enumerate(examples)]
+    train_part = noisy[:45] + [LabeledExample("", "hate", "s")]
+    val_part = noisy[45:] + [LabeledExample("gamma9 unseenword", "normal", "s"),
+                             LabeledExample("", "hate", "s")]
+    return train_part, val_part
+
+
+def _saved_bytes(model, path) -> bytes:
+    save(model, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("optimizer,lr", [("adam", 0.1), ("sgd", 1.0)])
+def test_train_matches_dense_reference_bytes(tmp_path, optimizer, lr, weighted) -> None:
+    train_part, val_part = _noisy_split()
+    seen = set(np.concatenate([v.indices for v in featurize_batch(
+        [e.text for e in train_part], SMALL_FC)]).tolist())
+    unseen = featurize("gamma9 unseenword", SMALL_FC).indices
+    assert not seen.issuperset(unseen.tolist())
+    hp = Hyperparams(optimizer=optimizer, learning_rate=lr, weighted_loss=weighted,
+                     max_epochs=10, seed=1)
+    model = train(train_part, val_part, hp, SMALL_FC)
+    reference = dense_train(train_part, val_part, hp, SMALL_FC)
+    # early stopping fired and the best epoch was not the last one
+    val_losses = [e["val_loss"] for e in model.training_log]
+    assert len(val_losses) < hp.max_epochs
+    assert val_losses.index(min(val_losses)) < len(val_losses) - 1
+    assert _saved_bytes(model, tmp_path / "a.bin") == _saved_bytes(reference, tmp_path / "b.bin")
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_train_matches_dense_reference_without_validation(tmp_path, optimizer) -> None:
+    train_part, _ = _noisy_split()
+    hp = Hyperparams(optimizer=optimizer, learning_rate=0.05, max_epochs=3, seed=2)
+    fc = FeatureConfig(hash_dim=2**14)
+    model = train(train_part, [], hp, fc)
+    reference = dense_train(train_part, [], hp, fc)
+    assert _saved_bytes(model, tmp_path / "a.bin") == _saved_bytes(reference, tmp_path / "b.bin")
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_train_on_only_empty_texts_matches_dense_reference(tmp_path, optimizer) -> None:
+    empty = [LabeledExample("", label, "s") for label in ("hate", "normal") * 4]
+    hp = Hyperparams(optimizer=optimizer, learning_rate=0.1, max_epochs=3, seed=0)
+    model = train(empty, empty[:2], hp, SMALL_FC)
+    reference = dense_train(empty, empty[:2], hp, SMALL_FC)
+    assert not model.weights.any()
+    assert _saved_bytes(model, tmp_path / "a.bin") == _saved_bytes(reference, tmp_path / "b.bin")
+
+
+def test_untouched_weight_columns_are_positive_zero() -> None:
+    train_part, val_part = _noisy_split()
+    model = train(train_part, val_part, Hyperparams(learning_rate=0.1, seed=1), SMALL_FC)
+    touched = np.unique(np.concatenate([v.indices for v in featurize_batch(
+        [e.text for e in train_part + val_part], SMALL_FC)]))
+    untouched = np.setdiff1d(np.arange(SMALL_FC.hash_dim), touched)
+    assert untouched.size
+    assert not model.weights[:, untouched].any()
+    assert not np.signbit(model.weights[:, untouched]).any()
+
+
+def test_optimizer_state_spans_only_touched_columns(monkeypatch) -> None:
+    widths = []
+    original = hatescan.model._AdamState.__init__
+
+    def spy(self, w, b, hp):
+        original(self, w, b, hp)
+        widths.append(self.m_w.shape[1])
+
+    monkeypatch.setattr(hatescan.model._AdamState, "__init__", spy)
+    train_part, val_part = _noisy_split()
+    fc = FeatureConfig(hash_dim=2**14)
+    train(train_part, val_part, Hyperparams(max_epochs=2), fc)
+    buckets = np.unique(np.concatenate([v.indices for v in featurize_batch(
+        [e.text for e in train_part + val_part], fc)]))
+    assert widths == [buckets.size]
+    assert buckets.size < fc.hash_dim
 
 
 # ---------------------------------------------------------------- scaling property
