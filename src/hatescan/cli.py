@@ -32,6 +32,7 @@ from .corpus import (
     save_examples,
     split,
 )
+from .distribution import RENDERERS, distribution_from_dict
 from .errors import DataError, ModelError
 from .normalize import normalize
 
@@ -238,10 +239,14 @@ def _parse_grid(raw: str | None):
 
 
 def _read_texts(path: str):
-    """Texts from a unified examples file, raw Parler, or plain lines."""
+    """Texts from a unified examples file, raw Parler, or plain lines.
+
+    A plain-text file is opened here, so a missing file fails at once, and
+    its non-blank lines are then yielded one at a time; the other formats
+    come back as lists.
+    """
     if path.endswith(".txt"):
-        with open(path, encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh if line.strip()]
+        return _nonblank_lines(open(path, encoding="utf-8"))
     keys = _peek_keys(path)
     if "label_mean" in keys or "id" in keys:
         posts = load_parler(path)
@@ -250,6 +255,13 @@ def _read_texts(path: str):
     loaded = load_examples(path)
     _report_diagnostics(loaded, path)
     return [e.text for e in loaded]
+
+
+def _nonblank_lines(fh):
+    with fh:
+        for line in fh:
+            if line.strip():
+                yield line.rstrip("\n")
 
 
 def _write_or_print(content: str, out: str | None) -> None:
@@ -323,7 +335,7 @@ def cmd_augment(args) -> int:
 def cmd_topics_fit(args) -> int:
     from .topics import OUTLIER, TfidfProjectionEmbedder, fit_topics, save_topics
 
-    texts = _read_texts(args.infile)
+    texts = list(_read_texts(args.infile))
     embedder = TfidfProjectionEmbedder(dim=args.dim, seed=args.seed)
     model = fit_topics(texts, embedder=embedder, grid=_parse_grid(args.grid),
                        min_samples_floor=args.min_samples_floor)
@@ -342,7 +354,7 @@ def cmd_topics_assign(args) -> int:
     from .topics import assign_topics, load_topics
 
     model = load_topics(args.model)
-    texts = _read_texts(args.infile)
+    texts = list(_read_texts(args.infile))
     labels = assign_topics(model, texts)
     rows = [{"text": t, "topic": lab, "topic_name": model.names.get(lab, "")}
             for t, lab in zip(texts, labels)]
@@ -510,8 +522,6 @@ def cmd_explain(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .pipeline import RENDERERS, distribution_from_dict
-
     try:
         with open(args.infile, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -628,8 +638,14 @@ def _build_parser():
     p.add_argument("--target-model", required=True)
     p.add_argument("--topics")
     p.add_argument("--threshold-tag", default="")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads, each scoring a whole batch; they pay off "
+                        "for a model backend that releases the GIL and gain "
+                        "little for the bundled classifier")
+    p.add_argument("--batch-size", type=int, default=256,
+                   help="posts per batch; each stage scores a batch in one "
+                        "pass, and at most workers x batch-size posts are "
+                        "held at once")
 
     p = sub("explain", cmd_explain, help="explain one prediction")
     p.add_argument("--model", required=True)
@@ -640,8 +656,6 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--features", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-
-    from .pipeline import RENDERERS
 
     p = sub("report", cmd_report, help="re-render a distribution file")
     p.add_argument("--in", dest="infile", required=True)

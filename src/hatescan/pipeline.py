@@ -1,27 +1,34 @@
 """Two-stage orchestration: detect hate, then classify its target.
 
-A corpus streams through the detector; only posts flagged as hateful reach
-the target model, optionally with topic words appended first. Counts
-aggregate into a TargetDistribution that reports both the hate rate and the
-per-target makeup of the hateful slice, and can be rendered as JSON, CSV or
-a monospace chart.
+A corpus is scanned a batch at a time: each batch's English posts are
+normalized and scored by the detector in one pass, and only the posts
+flagged as hateful reach the target model, optionally with topic words
+appended first, in a second pass. Counts aggregate into a TargetDistribution
+(see ``distribution``, re-exported here) that reports both the hate rate
+and the per-target makeup of the hateful slice.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import logging
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 from .corpus import HATE, NORMAL, TARGET_CLASSES
-from .errors import DataError
-from .model import TrainedClassifier
+from .distribution import (
+    RENDERERS,
+    TargetDistribution,
+    distribution_from_dict,
+    render_chart,
+    render_csv,
+    render_json,
+    report,
+)
+from .model import TrainedClassifier, predict_batch
 from .model import load as load_model
 from .normalize import NormalizerConfig, is_english, normalize
 
@@ -77,34 +84,6 @@ class Classification:
     target: str | None = None
 
 
-@dataclass(frozen=True)
-class TargetDistribution:
-    total_posts: int
-    hateful_posts: int
-    normal_posts: int
-    excluded_posts: int
-    failed_posts: int
-    per_target: dict
-    detector_tag: str = ""
-
-    def __post_init__(self):
-        parts = (self.hateful_posts + self.normal_posts
-                 + self.excluded_posts + self.failed_posts)
-        if parts != self.total_posts:
-            raise ValueError(
-                f"post counts do not add up: {parts} != {self.total_posts}")
-        if sum(self.per_target.values()) != self.hateful_posts:
-            raise ValueError("per-target counts must sum to the hateful count")
-        if any(v < 0 for v in self.per_target.values()):
-            raise ValueError("negative target count")
-
-    @property
-    def fractions(self) -> dict:
-        if self.hateful_posts == 0:
-            return {t: 0.0 for t in self.per_target}
-        return {t: c / self.hateful_posts for t, c in self.per_target.items()}
-
-
 def load_pipeline(config: PipelineConfig) -> Pipeline:
     detector = load_model(config.detector_path)
     target_model = load_model(config.target_model_path)
@@ -127,29 +106,105 @@ def classify_post(text: str, pipeline: Pipeline) -> Classification:
 
     Normal posts never reach the target model. Posts the target model
     cannot place with a minority group come back as Other by that model's
-    own training contract.
+    own training contract. An exception raised by either stage propagates.
     """
-    return _classify_timed(text, pipeline)[0]
-
-
-def _classify_timed(text: str, pipeline: Pipeline):
-    """classify_post, plus the seconds spent in the detector and the target model."""
     normalized = str(normalize(text, pipeline.normalizer_config))
-    started = time.perf_counter()
-    label = pipeline.detector.predict(normalized)[0]
-    detect_elapsed = time.perf_counter() - started
-    if label != HATE:
-        return Classification(label=NORMAL), detect_elapsed, 0.0
-    staged = normalized
-    if pipeline.topic_model is not None:
-        from .topics import assign_topic, concat_topic
+    result = _classify_batch([normalized], pipeline)[0][0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-        topic = assign_topic(pipeline.topic_model, normalized)
-        staged = concat_topic(normalized, pipeline.topic_model, topic)
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised, so one post fails alone."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - per-post resilience
+        logger.debug("post failed: %s", exc)
+        return exc
+
+
+def _labels(model, texts: list) -> list:
+    """The label ``model`` predicts for each text, or the exception it raised.
+
+    The bundled classifier scores all the texts in one ``predict_batch``
+    pass. If that pass raises, the texts are scored one by one (the model is
+    pure, so asking again is harmless) and only the ones that raise fail.
+    Any other backend (``class_list`` plus ``predict(text)``) is asked text
+    by text, each text once.
+    """
+    if not texts:
+        return []
+    if isinstance(model, TrainedClassifier):
+        try:
+            return [label for label, _ in predict_batch(model, texts)]
+        except Exception as exc:  # noqa: BLE001 - rescored text by text
+            logger.debug("batch scoring failed, scoring text by text: %s", exc)
+    return [_attempt(lambda t: model.predict(t)[0], text) for text in texts]
+
+
+def _staged(text: str, topic_model) -> str:
+    """The target model's input: the text, with its topic's words appended."""
+    if topic_model is None:
+        return text
+    from .topics import assign_topic, concat_topic
+
+    return concat_topic(text, topic_model, assign_topic(topic_model, text))
+
+
+def _classify_batch(texts: list, pipeline: Pipeline):
+    """Classify normalized texts with one scoring pass per stage.
+
+    Returns the Classification of each text, or the exception that stopped
+    it, in input order, plus the seconds spent in the detector and in the
+    target model. Each hateful text reaches the target model exactly once.
+    """
     started = time.perf_counter()
-    target = pipeline.target_model.predict(staged)[0]
-    target_elapsed = time.perf_counter() - started
-    return Classification(label=HATE, target=target), detect_elapsed, target_elapsed
+    labels = _labels(pipeline.detector, texts)
+    detect_s = time.perf_counter() - started
+    results = [label if isinstance(label, Exception) else Classification(label=NORMAL)
+               for label in labels]
+    hateful, staged = [], []
+    for i, label in enumerate(labels):
+        if label != HATE:
+            continue
+        text = _attempt(_staged, texts[i], pipeline.topic_model)
+        if isinstance(text, Exception):
+            results[i] = text
+        else:
+            hateful.append(i)
+            staged.append(text)
+    started = time.perf_counter()
+    targets = _labels(pipeline.target_model, staged)
+    target_s = time.perf_counter() - started
+    for i, target in zip(hateful, targets):
+        results[i] = (target if isinstance(target, Exception)
+                      else Classification(label=HATE, target=target))
+    return results, detect_s, target_s
+
+
+def _scan_batch(batch: list, pipeline: Pipeline):
+    """(kind, target) of each post of a batch in input order, plus the
+    detector and target-model seconds; kind is hate, normal, excluded or
+    failed."""
+    config = pipeline.normalizer_config
+    outcomes = [("failed", None)] * len(batch)
+    english, texts = [], []
+    for i, post in enumerate(batch):
+        text = getattr(post, "text", post)
+        try:
+            if not is_english(text, config):
+                outcomes[i] = ("excluded", None)
+                continue
+            texts.append(str(normalize(text, config)))
+            english.append(i)
+        except Exception as exc:  # noqa: BLE001 - per-post resilience
+            logger.debug("post failed: %s", exc)
+    results, detect_s, target_s = _classify_batch(texts, pipeline)
+    for i, result in zip(english, results):
+        if not isinstance(result, Exception):
+            outcomes[i] = (result.label, result.target)
+    return outcomes, detect_s, target_s
 
 
 def _batches(iterable, size: int):
@@ -162,11 +217,15 @@ def _batches(iterable, size: int):
 
 
 def run_corpus(posts, pipeline: Pipeline, workers: int = 1) -> TargetDistribution:
-    """Stream a corpus through both stages with bounded memory.
+    """Scan a corpus a batch at a time with bounded memory.
 
-    Non-English posts are excluded up front; per-post failures are counted,
-    never fatal. Aggregation is pure counting, so the result does not depend
-    on batch size or worker scheduling.
+    Each batch of ``pipeline.batch_size`` posts is scored with one pass per
+    stage. With ``workers`` > 1 a thread pool scores up to ``workers``
+    batches at once, so at most ``workers * batch_size`` posts are held;
+    threads pay off for a backend that releases the GIL, and gain little
+    for the bundled classifier, whose scoring mostly holds it. Non-English posts are excluded up front; per-post failures
+    are counted, never fatal. Aggregation is pure counting, so the result
+    does not depend on batch size or worker scheduling.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -174,32 +233,22 @@ def run_corpus(posts, pipeline: Pipeline, workers: int = 1) -> TargetDistributio
     per_target = Counter({t: 0 for t in TARGET_CLASSES})
     detect_time = 0.0
     target_time = 0.0
-
-    def handle(text: str):
-        try:
-            if not is_english(text, pipeline.normalizer_config):
-                return ("excluded", None, 0.0, 0.0)
-            outcome, t_detect, t_target = _classify_timed(text, pipeline)
-            return (outcome.label, outcome.target, t_detect, t_target)
-        except Exception as exc:  # noqa: BLE001 - per-post resilience
-            logger.debug("post failed: %s", exc)
-            return ("failed", None, 0.0, 0.0)
-
+    scan = partial(_scan_batch, pipeline=pipeline)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for batch in _batches(posts, pipeline.batch_size):
-            texts = [getattr(p, "text", p) for p in batch]
-            results = pool.map(handle, texts) if pool else map(handle, texts)
-            for kind, target, t_detect, t_target in results:
-                counts[kind] += 1
+        for group in _batches(_batches(posts, pipeline.batch_size), workers):
+            scanned = pool.map(scan, group) if pool else map(scan, group)
+            for outcomes, t_detect, t_target in scanned:
+                for kind, target in outcomes:
+                    counts[kind] += 1
+                    if kind == HATE:
+                        per_target[target] += 1
                 detect_time += t_detect
                 target_time += t_target
-                if kind == HATE:
-                    per_target[target] += 1
-            counts["total"] += len(batch)
-            if counts["total"] % _PROGRESS_EVERY < pipeline.batch_size:
-                logger.info("processed %d posts (%d hateful)",
-                            counts["total"], counts[HATE])
+                counts["total"] += len(outcomes)
+                if counts["total"] % _PROGRESS_EVERY < pipeline.batch_size:
+                    logger.info("processed %d posts (%d hateful)",
+                                counts["total"], counts[HATE])
     finally:
         if pool is not None:
             pool.shutdown()
@@ -215,90 +264,3 @@ def run_corpus(posts, pipeline: Pipeline, workers: int = 1) -> TargetDistributio
         per_target=dict(per_target),
         detector_tag=pipeline.threshold_tag,
     )
-
-
-def _distribution_to_dict(dist: TargetDistribution) -> dict:
-    return {
-        "total_posts": dist.total_posts,
-        "hateful_posts": dist.hateful_posts,
-        "normal_posts": dist.normal_posts,
-        "excluded_posts": dist.excluded_posts,
-        "failed_posts": dist.failed_posts,
-        "per_target": dict(dist.per_target),
-        "fractions": dist.fractions,
-        "detector_tag": dist.detector_tag,
-    }
-
-
-def distribution_from_dict(doc: dict) -> TargetDistribution:
-    try:
-        return TargetDistribution(
-            total_posts=int(doc["total_posts"]),
-            hateful_posts=int(doc["hateful_posts"]),
-            normal_posts=int(doc["normal_posts"]),
-            excluded_posts=int(doc["excluded_posts"]),
-            failed_posts=int(doc["failed_posts"]),
-            per_target={str(k): int(v) for k, v in doc["per_target"].items()},
-            detector_tag=str(doc.get("detector_tag", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"corrupt distribution document: {exc}") from exc
-
-
-def render_json(dist: TargetDistribution) -> str:
-    return json.dumps(_distribution_to_dict(dist), indent=2, sort_keys=True)
-
-
-def _targets_by_count(dist: TargetDistribution):
-    order = {t: i for i, t in enumerate(TARGET_CLASSES)}
-    return sorted(dist.per_target,
-                  key=lambda t: (-dist.per_target[t], order.get(t, len(order))))
-
-
-def render_csv(dist: TargetDistribution) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["target", "count", "fraction"])
-    fractions = dist.fractions
-    for target in _targets_by_count(dist):
-        writer.writerow([target, dist.per_target[target],
-                         f"{fractions[target]:.6f}"])
-    return buffer.getvalue()
-
-
-def render_chart(dist: TargetDistribution, width: int = 40) -> str:
-    lines = [
-        f"posts: {dist.total_posts} total, {dist.hateful_posts} hateful, "
-        f"{dist.normal_posts} normal, {dist.excluded_posts} excluded, "
-        f"{dist.failed_posts} failed"
-    ]
-    if dist.detector_tag:
-        lines.append(f"detector: {dist.detector_tag}")
-    if dist.hateful_posts == 0:
-        lines.append("no hateful posts")
-        return "\n".join(lines) + "\n"
-    fractions = dist.fractions
-    peak = max(dist.per_target.values())
-    name_width = max(len(t) for t in dist.per_target)
-    for target in _targets_by_count(dist):
-        count = dist.per_target[target]
-        bar = "#" * (round(width * count / peak) if peak else 0)
-        lines.append(f"{target:<{name_width}}  {bar} {count} "
-                     f"({100 * fractions[target]:.1f}%)")
-    return "\n".join(lines) + "\n"
-
-
-# report format name -> renderer, for report() and `hatescan report --format`
-RENDERERS = {"json": render_json, "csv": render_csv, "text-chart": render_chart}
-
-
-def report(dist: TargetDistribution, fmt: str, path: str) -> str:
-    """Write the distribution in the requested format; returns the path."""
-    try:
-        renderer = RENDERERS[fmt]
-    except KeyError:
-        raise ValueError(
-            f"unknown format {fmt!r}; choose from {sorted(RENDERERS)}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(renderer(dist))
-    return path

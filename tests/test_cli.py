@@ -134,6 +134,20 @@ def test_console_script_reports_version(tmp_path):
     assert _pyproject()["project"]["version"] == hatescan.__version__
 
 
+def test_building_the_parser_imports_no_numpy(tmp_path):
+    package_parent = os.path.dirname(os.path.dirname(hatescan.__file__))
+    pythonpath = os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from hatescan.cli import _build_parser; _build_parser(); "
+         "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.skipif(shutil.which("hatescan") is None,
                     reason="hatescan console script not installed")
 def test_installed_console_script_reports_version():
@@ -394,6 +408,18 @@ def test_run_and_report(tmp_path, capsys):
     assert main(["report", "--in", str(dist_path),
                  "--format", "text-chart"]) == 0
     assert "#" in capsys.readouterr().out
+
+
+def test_plain_text_corpus_streams_after_an_eager_open(tmp_path):
+    from hatescan.cli import _read_texts
+
+    with pytest.raises(FileNotFoundError):
+        _read_texts(str(tmp_path / "absent.txt"))
+    path = tmp_path / "corpus.txt"
+    path.write_text("first post\n\n   \nsecond post\n")
+    texts = _read_texts(str(path))
+    assert not isinstance(texts, list)
+    assert list(texts) == ["first post", "second post"]
 
 
 def test_report_rejects_bad_json(tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +12,7 @@ from hatescan.errors import DataError, ModelError
 from hatescan.model import Hyperparams
 from hatescan.model import save as save_model
 from hatescan.model import train
+from hatescan.normalize import is_english
 from hatescan.corpus import LabeledExample
 from hatescan.pipeline import (
     Classification,
@@ -320,3 +323,174 @@ def test_load_pipeline_missing_model(tmp_path):
 def test_pipeline_config_validates_batch_size():
     with pytest.raises(ValueError):
         PipelineConfig(detector_path="a", target_model_path="b", batch_size=0)
+
+
+# ------------------------------------------------------------ batched scoring
+
+def raising_on(word, model):
+    """The stub ``model``, raising on every text that holds ``word``."""
+    fn = model.fn
+
+    def scripted(text):
+        if word in text.split():
+            raise RuntimeError(f"{word} in {text!r}")
+        return fn(text)
+
+    model.fn = scripted
+    return model
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_a_raising_text_fails_only_its_own_post(batch_size, workers):
+    posts = planted_corpus()
+    posts.insert(37, "hatemark detectboom targetafrican is the worst of all")
+    posts.insert(64, "hatemark targetboom is the worst of all the days")
+    detector = raising_on("detectboom", marker_detector())
+    target = raising_on("targetboom", marker_target())
+    pipe = Pipeline(detector=detector, target_model=target,
+                    batch_size=batch_size)
+    dist = run_corpus(posts, pipe, workers=workers)
+    assert dist.total_posts == 102
+    assert dist.failed_posts == 2
+    assert dist.excluded_posts == 0
+    assert dist.normal_posts == 70
+    assert dist.per_target == {"African": 15, "Islam": 9, "Other": 6,
+                               "Jewish": 0, "LGBT": 0}
+    assert detector.calls == 102
+    assert target.calls == 31  # 30 hateful posts and the one that raises
+
+
+def test_classify_post_raises_the_failing_stage_exception():
+    detector = raising_on("boom", marker_detector())
+    pipe = Pipeline(detector=detector, target_model=marker_target())
+    with pytest.raises(RuntimeError, match="boom"):
+        classify_post("boom goes the post", pipe)
+    target = raising_on("targetboom", marker_target())
+    pipe = Pipeline(detector=marker_detector(), target_model=target)
+    with pytest.raises(RuntimeError, match="targetboom"):
+        classify_post("hatemark targetboom", pipe)
+
+
+@pytest.fixture
+def trained_pipeline(tmp_path):
+    from hatescan.model import load as load_model
+    from hatescan.topics import fit_topics
+
+    det_path, tgt_path = trained_pair(tmp_path)
+    topic_model = fit_topics(["mosque veil imam quran", "imam veil mosque quran",
+                              "quran mosque imam veil", "veil imam quran mosque"])
+    return Pipeline(detector=load_model(det_path),
+                    target_model=load_model(tgt_path), topic_model=topic_model)
+
+
+def mixed_corpus():
+    """60 posts: hateful, normal and non-English, some with topic words."""
+    rng = random.Random(3)
+    filler = ["day", "thing", "words", "talk", "post", "note", "mosque", "imam"]
+    posts = []
+    for i in range(60):
+        words = rng.sample(filler, 3)
+        kind = i % 4
+        if kind == 0:
+            words += ["filth", rng.choice(["jews", "muslim", "nobody"])]
+        elif kind == 3 and i % 8 == 3:
+            posts.append(f"das ist doch wirklich ganz furchtbar schlimm {i}")
+            continue
+        rng.shuffle(words)
+        posts.append("the " + " ".join(words) + " and the other")
+    return posts
+
+
+def tally(posts, pipe):
+    """The distribution run_corpus should give, one classify_post at a time."""
+    counts = Counter()
+    per_target = Counter({t: 0 for t in TARGET_CLASSES})
+    for text in posts:
+        if not is_english(text):
+            counts["excluded"] += 1
+            continue
+        result = classify_post(text, pipe)
+        counts[result.label] += 1
+        if result.label == "hate":
+            per_target[result.target] += 1
+    return TargetDistribution(
+        total_posts=len(posts), hateful_posts=counts["hate"],
+        normal_posts=counts["normal"], excluded_posts=counts["excluded"],
+        failed_posts=0, per_target=dict(per_target))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_batched_scan_equals_per_post_classification(trained_pipeline,
+                                                     batch_size, workers):
+    posts = mixed_corpus()
+    expected = tally(posts, trained_pipeline)
+    assert expected.hateful_posts and expected.normal_posts
+    assert expected.excluded_posts
+    assert len({t for t, n in expected.per_target.items() if n}) > 1
+    pipe = replace(trained_pipeline, batch_size=batch_size)
+    assert run_corpus(posts, pipe, workers=workers) == expected
+
+
+def test_each_stage_scores_a_batch_in_one_predict_batch_call(trained_pipeline,
+                                                             monkeypatch):
+    import hatescan.pipeline as pipeline_module
+
+    calls = []
+    real = pipeline_module.predict_batch
+
+    def spy(model, texts):
+        calls.append((model, len(texts)))
+        return real(model, texts)
+
+    monkeypatch.setattr(pipeline_module, "predict_batch", spy)
+    # a batch with no hateful post and one with no English post come first
+    posts = ([f"the day and the talk {i}" for i in range(7)]
+             + [f"das ist doch wirklich ganz furchtbar schlimm {i}"
+                for i in range(7)] + mixed_corpus())
+    pipe = replace(trained_pipeline, batch_size=7)
+    expected = []
+    for start in range(0, len(posts), 7):
+        dist = tally(posts[start:start + 7], trained_pipeline)
+        english = dist.hateful_posts + dist.normal_posts
+        if english:
+            expected.append((pipe.detector, english))
+        if dist.hateful_posts:
+            expected.append((pipe.target_model, dist.hateful_posts))
+    assert expected[0] == (pipe.detector, 7)
+    assert expected[1][0] is pipe.detector
+    calls.clear()
+    run_corpus(posts, pipe)
+    assert [(id(m), n) for m, n in calls] == [(id(m), n) for m, n in expected]
+
+
+def test_a_failed_batch_call_is_rescored_text_by_text(trained_pipeline,
+                                                      monkeypatch):
+    import hatescan.model as model_module
+    import hatescan.pipeline as pipeline_module
+
+    real_batch = pipeline_module.predict_batch
+    real_predict = model_module.predict
+
+    def batch(model, texts):
+        if any("boom" in t.split() for t in texts):
+            raise RuntimeError("boom in batch")
+        return real_batch(model, texts)
+
+    def predict(model, text):
+        if "boom" in text.split():
+            raise RuntimeError("boom")
+        return real_predict(model, text)
+
+    posts = mixed_corpus()
+    expected = run_corpus(posts, trained_pipeline)
+    monkeypatch.setattr(pipeline_module, "predict_batch", batch)
+    monkeypatch.setattr(model_module, "predict", predict)
+    booms = ["the boom of the day", "the filth boom jews of the day"]
+    dist = run_corpus(posts[:20] + booms + posts[20:], trained_pipeline)
+    assert dist.failed_posts == 2
+    assert dist.total_posts == expected.total_posts + 2
+    assert (dist.hateful_posts, dist.normal_posts, dist.excluded_posts,
+            dist.per_target) == (expected.hateful_posts, expected.normal_posts,
+                                 expected.excluded_posts, expected.per_target)
