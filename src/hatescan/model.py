@@ -6,10 +6,12 @@ weighted cross-entropy loss. Anything exposing ``predict(text)`` and
 ``class_list`` can stand in for it downstream, so a heavier backend can be
 attached without touching the rest of the pipeline.
 
-Callers that hold a list of texts (training, evaluation, explanations) go
-through ``featurize_batch`` and ``predict_batch``. They return exactly what
-``featurize`` and ``predict`` return per text, but hash each distinct n-gram
-only once per call.
+Callers that hold a list of texts (training, evaluation, explanations, the
+scan) go through ``featurize_batch`` and ``predict_batch``. They return
+exactly what ``featurize`` and ``predict`` return per text. Within one call,
+each word segment, each segment end with its few neighbouring characters and
+each run of words is turned into bucket ids once, and each distinct n-gram
+is hashed once; the four memo tables share one size cap.
 
 Training runs on the hashed columns its texts touch, not on all ``hash_dim``
 of them, and writes the result into a full-width matrix at the end. That is
@@ -23,8 +25,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +54,18 @@ __all__ = [
 _MAGIC = b"HSCM"
 _VERSION = 1
 
-# the n-gram hash memo of one featurize_batch call is cleared once it holds
-# this many entries (about 1 MB), so a huge batch cannot grow it without
-# limit; one explanation of a 20-token post needs under a thousand
-_MEMO_LIMIT = 1 << 14
+# the four memo tables of one featurize_batch call (character n-gram, word
+# run, segment and segment end) share this cap: a text that finds them
+# holding this many entries between them clears them first, so they never
+# hold more than the cap plus one text's keys. The segment table is kept
+# while it holds under half the cap: segments are few and the most reused.
+# At 2^14 a run's peak RSS jumped by a weight matrix's size in about a third
+# of long bench runs, and at 2^13 in none; one explanation needs well under
+# 2^13 entries.
+_MEMO_LIMIT = 1 << 13
+# a word plus the whitespace after it; the first segment also takes any
+# leading whitespace, and a text of whitespace only is one segment
+_SEGMENT = re.compile(r"\s*\S+\s*|\s+")
 
 
 @dataclass(frozen=True)
@@ -68,6 +80,8 @@ class FeatureConfig:
             raise ValueError("hash_dim must be a power of two, at least 2^10")
         if not self.word_ngrams and not self.char_ngrams:
             raise ValueError("at least one n-gram family required")
+        if any(not isinstance(n, int) or n < 1 for n in (*self.word_ngrams, *self.char_ngrams)):
+            raise ValueError("n-gram sizes must be positive integers")
 
 
 @dataclass(frozen=True)
@@ -131,42 +145,101 @@ class TrainedClassifier:
 def _featurize_each(texts, config: FeatureConfig):
     """Yield the ``featurize`` vector of each text in turn.
 
-    One memo maps each n-gram string, namespace prefix included, to its
-    bucket, so an n-gram shared by many texts is hashed once. The salt and
-    the prefixes are built once per call rather than once per n-gram.
+    A text is cut into segments, a word plus the whitespace after it (the
+    first segment also takes any leading whitespace). A character n-gram
+    either lies inside one segment, so it depends only on that segment, or
+    starts in the last ``max(char_ngrams) - 1`` characters of a segment and
+    crosses its end, so it depends only on where that end falls in the
+    characters from the n-gram's earliest start to ``max(char_ngrams) - 1``
+    past the end. Masked copies of a post, and posts drawn from one
+    vocabulary, repeat both kinds of key, so each maps to its bucket ids in
+    a memo, over one memo from each character n-gram string to its bucket.
+    A run of words is one word n-gram, so it maps straight to its bucket.
+    Each distinct n-gram is thus hashed once. The memos hold bucket ids
+    packed as native int64 bytes, so a text's ids are one ``b"".join`` away
+    from an array. A text's bucket counts are small integers, so counting
+    them with ``np.unique`` gives the same floats as adding ones.
     """
     mask = config.hash_dim - 1
     salt = config.hash_seed.to_bytes(8, "little", signed=False)
     word_families = [(n, f"w{n}\x00") for n in config.word_ngrams]
     char_families = [(n, f"c{n}\x00") for n in config.char_ngrams]
-    memo: dict[str, int] = {}
-    for text in texts:
-        words = text.split()
-        grams = [prefix + " ".join(words[i : i + n])
-                 for n, prefix in word_families for i in range(len(words) - n + 1)]
-        grams += [prefix + text[i : i + n]
-                  for n, prefix in char_families for i in range(len(text) - n + 1)]
-        counts: dict[int, float] = {}
-        for gram in grams:
-            key = memo.get(gram)
-            if key is None:
-                if len(memo) >= _MEMO_LIMIT:
-                    memo.clear()
-                digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, salt=salt).digest()
-                key = memo[gram] = int.from_bytes(digest, "little") & mask
-            counts[key] = counts.get(key, 0.0) + 1.0
+    reach = max(config.char_ngrams, default=1) - 1
+    grams: dict[str, int] = {}
+    runs: dict[tuple, bytes] = {}
+    inside: dict[str, bytes] = {}
+    across: dict[tuple, bytes] = {}
+    tables = (grams, runs, inside, across)
 
-        if not counts:
+    def bucket(gram: str) -> int:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, salt=salt).digest()
+        return int.from_bytes(digest, "little") & mask
+
+    def packed(keys: list) -> bytes:
+        got = [grams.get(key) for key in keys]
+        if None in got:
+            for key in keys:
+                if key not in grams:
+                    grams[key] = bucket(key)
+            got = [grams[key] for key in keys]
+        return array("q", got).tobytes()
+
+    for text in texts:
+        if sum(map(len, tables)) >= _MEMO_LIMIT:
+            for table in (grams, runs, across) if 2 * len(inside) < _MEMO_LIMIT else tables:
+                table.clear()
+        pieces = []
+        words = text.split()
+        for n, prefix in word_families:
+            for run in zip(*[words[k:] for k in range(n)]):
+                got = runs.get(run)
+                if got is None:
+                    got = runs[run] = array("q", [bucket(prefix + " ".join(run))]).tobytes()
+                pieces.append(got)
+        if char_families:
+            end = 0
+            for segment in _SEGMENT.findall(text):
+                got = inside.get(segment)
+                if got is None:
+                    got = inside[segment] = packed([
+                        prefix + segment[i : i + n] for n, prefix in char_families
+                        for i in range(len(segment) - n + 1)])
+                pieces.append(got)
+                start, end = end, end + len(segment)
+                if not reach or end == len(text):
+                    continue
+                # n-grams from at most `reach` characters before the segment's
+                # end (never before its start) to at most `reach` past it
+                first = max(start, end - reach)
+                key = (end - first, text[first : end + reach])
+                got = across.get(key)
+                if got is None:
+                    offset, window = key
+                    got = across[key] = packed([
+                        prefix + window[i : i + n] for n, prefix in char_families
+                        for i in range(max(0, offset - n + 1),
+                                       min(offset, len(window) - n + 1))])
+                pieces.append(got)
+
+        ids = np.frombuffer(b"".join(pieces), dtype=np.int64)
+        if not len(ids):
             yield SparseVector(np.empty(0, dtype=np.int64), np.empty(0), config.hash_dim)
             continue
-        indices = np.array(sorted(counts), dtype=np.int64)
-        values = np.array([counts[i] for i in indices.tolist()])
+        indices, counts = np.unique(ids, return_counts=True)
+        values = counts.astype(np.float64)
         values /= np.linalg.norm(values)
         yield SparseVector(indices, values, config.hash_dim)
 
 
 def featurize_batch(texts, config: FeatureConfig | None = None) -> list:
-    """``featurize`` of every text, hashing each distinct n-gram once per call."""
+    """``featurize`` of every text.
+
+    Within the call, the bucket ids of each word segment, segment end and
+    run of words are computed once, and each distinct n-gram is hashed once.
+    The memo tables behind that are cleared before a text that finds them
+    holding ``_MEMO_LIMIT`` entries between them (the segment table only
+    once it holds half of them), which bounds memory and changes no vector.
+    """
     if config is None:
         config = FeatureConfig()
     return list(_featurize_each(texts, config))

@@ -2,8 +2,9 @@
 
 A corpus is scanned a batch at a time: each batch's English posts are
 normalized and scored by the detector in one pass, and only the posts
-flagged as hateful reach the target model, optionally with topic words
-appended first, in a second pass. Counts aggregate into a TargetDistribution
+flagged as hateful reach the target model, in a second pass. With a topic
+model, those posts get their topics in one assignment call and each has its
+topic's words appended first. Counts aggregate into a TargetDistribution
 (see ``distribution``, re-exported here) that reports both the hate rate
 and the per-target makeup of the hateful slice.
 """
@@ -143,13 +144,26 @@ def _labels(model, texts: list) -> list:
     return [_attempt(lambda t: model.predict(t)[0], text) for text in texts]
 
 
-def _staged(text: str, topic_model) -> str:
-    """The target model's input: the text, with its topic's words appended."""
-    if topic_model is None:
-        return text
-    from .topics import assign_topic, concat_topic
+def _staged(texts: list, topic_model) -> list:
+    """The target model's input for each text: the text with its topic's
+    words appended, or the exception that stopped it.
 
-    return concat_topic(text, topic_model, assign_topic(topic_model, text))
+    Topics are assigned to all the texts in one ``assign_topics`` call. If
+    that call raises, each text is assigned on its own, so only the texts
+    that raise fail.
+    """
+    if topic_model is None or not texts:
+        return list(texts)
+    from .topics import assign_topic, assign_topics, concat_topic
+
+    try:
+        topics = assign_topics(topic_model, texts)
+    except Exception as exc:  # noqa: BLE001 - assigned text by text
+        logger.debug("batch topic assignment failed, assigning text by text: %s", exc)
+        topics = [_attempt(assign_topic, topic_model, text) for text in texts]
+    return [topic if isinstance(topic, Exception)
+            else _attempt(concat_topic, text, topic_model, topic)
+            for text, topic in zip(texts, topics)]
 
 
 def _classify_batch(texts: list, pipeline: Pipeline):
@@ -165,10 +179,8 @@ def _classify_batch(texts: list, pipeline: Pipeline):
     results = [label if isinstance(label, Exception) else Classification(label=NORMAL)
                for label in labels]
     hateful, staged = [], []
-    for i, label in enumerate(labels):
-        if label != HATE:
-            continue
-        text = _attempt(_staged, texts[i], pipeline.topic_model)
+    flagged = [i for i, label in enumerate(labels) if label == HATE]
+    for i, text in zip(flagged, _staged([texts[i] for i in flagged], pipeline.topic_model)):
         if isinstance(text, Exception):
             results[i] = text
         else:

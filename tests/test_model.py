@@ -213,6 +213,53 @@ def test_featurize_batch_crossing_the_memo_cap_changes_nothing(monkeypatch) -> N
     assert_same_vectors(got, texts, SMALL_FC)
 
 
+FEATURE_CONFIGS = [
+    FeatureConfig(),
+    FeatureConfig(hash_dim=2**10, word_ngrams=(1, 2, 3), char_ngrams=(2, 6), hash_seed=5),
+    FeatureConfig(word_ngrams=(), char_ngrams=(1,)),
+    FeatureConfig(char_ngrams=()),
+]
+# runs of spaces, tabs and newlines anywhere (leading and trailing too),
+# next to ASCII, accented and emoji characters
+GENERATED_TEXTS = st.lists(
+    st.sampled_from([" ", "  ", "\t", "\n", " \t\n ", "a", "no", "x", "café",
+                     "straße", "ünï", "😂", "🔥🔥"]),
+    max_size=14,
+).map("".join)
+
+
+@pytest.mark.parametrize("fc", FEATURE_CONFIGS)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(GENERATED_TEXTS, max_size=6))
+def test_featurize_batch_matches_reference_on_generated_texts(fc, texts) -> None:
+    assert_same_vectors(featurize_batch(texts, fc), texts, fc)
+
+
+def explanation_masks() -> list:
+    """The texts ``lime_explain`` scores: 1000 sampled masks of 15 tokens
+    and every mask of 8."""
+    from hatescan.explain import _all_masks, perturb
+
+    tokens = "the cat 😂 sat on the mat and café ünï the cat ran off again".split()
+    assert len(tokens) == 15
+    return ([text for _, text in perturb(tokens, 1000, seed=0)]
+            + [text for _, text in _all_masks(tokens[:8])])
+
+
+@pytest.mark.parametrize("fc", FEATURE_CONFIGS)
+def test_featurize_batch_matches_reference_on_explanation_masks(fc) -> None:
+    texts = explanation_masks()
+    assert_same_vectors(featurize_batch(texts, fc), texts, fc)
+
+
+def test_featurize_batch_matches_reference_across_memo_clears(monkeypatch) -> None:
+    # at 64 the memos are cleared every few texts, while the segment table,
+    # which holds under half the cap here, is kept
+    monkeypatch.setattr(hatescan.model, "_MEMO_LIMIT", 64)
+    texts = explanation_masks()
+    assert_same_vectors(featurize_batch(texts, SMALL_FC), texts, SMALL_FC)
+
+
 def test_predict_batch_matches_predict() -> None:
     model = train(make_separable(20), [], Hyperparams(max_epochs=3, seed=0), SMALL_FC)
     texts = [e.text for e in make_separable(5, seed=1)] + BATCH_TEXTS
@@ -237,6 +284,11 @@ def test_predict_batch_asks_other_backends_text_by_text() -> None:
 def test_feature_config_validation() -> None:
     with pytest.raises(ValueError):
         FeatureConfig(hash_dim=1000)  # not a power of two
+    for sizes in ((0,), (2, -1), (1.5,)):
+        with pytest.raises(ValueError, match="positive integers"):
+            FeatureConfig(char_ngrams=sizes)
+        with pytest.raises(ValueError, match="positive integers"):
+            FeatureConfig(word_ngrams=sizes)
     with pytest.raises(ValueError):
         FeatureConfig(hash_dim=2**9)  # too small
     with pytest.raises(ValueError):
@@ -687,6 +739,16 @@ def test_load_flipped_payload_byte(tmp_path) -> None:
     blob[-5] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelError, match="checksum"):
+        load(path)
+
+
+def test_load_rejects_a_zero_ngram_size(tmp_path) -> None:
+    path = tmp_path / "m.bin"
+    save(_random_model(), path)
+    blob = path.read_bytes()
+    assert blob.count(b'"char_ngrams":[3,') == 1
+    path.write_bytes(blob.replace(b'"char_ngrams":[3,', b'"char_ngrams":[0,'))
+    with pytest.raises(ModelError, match="corrupt header"):
         load(path)
 
 

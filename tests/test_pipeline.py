@@ -494,3 +494,49 @@ def test_a_failed_batch_call_is_rescored_text_by_text(trained_pipeline,
     assert (dist.hateful_posts, dist.normal_posts, dist.excluded_posts,
             dist.per_target) == (expected.hateful_posts, expected.normal_posts,
                                  expected.excluded_posts, expected.per_target)
+
+
+def test_topics_are_assigned_once_per_batch_with_hateful_posts(trained_pipeline,
+                                                               monkeypatch):
+    import hatescan.topics as topics_module
+
+    # a batch with no hateful post comes first
+    posts = [f"the day and the talk {i}" for i in range(7)] + mixed_corpus()
+    hateful = [tally(posts[start:start + 7], trained_pipeline).hateful_posts
+               for start in range(0, len(posts), 7)]
+    assert hateful[0] == 0 and max(hateful) > 1
+    calls = []
+    real = topics_module.assign_topics
+
+    def spy(model, texts):
+        calls.append(len(texts))
+        return real(model, texts)
+
+    monkeypatch.setattr(topics_module, "assign_topics", spy)
+    run_corpus(posts, replace(trained_pipeline, batch_size=7))
+    assert calls == [n for n in hateful if n]
+
+
+def test_a_failed_topic_batch_is_assigned_text_by_text(trained_pipeline,
+                                                       monkeypatch):
+    import hatescan.topics as topics_module
+
+    posts = mixed_corpus()
+    boom = "the filth jews topicboom of the day"
+    assert classify_post(boom, trained_pipeline).label == "hate"
+    expected = run_corpus(posts, trained_pipeline)
+    real = topics_module.assign_topics
+
+    def assign(model, texts):
+        texts = list(texts)
+        if any("topicboom" in t.split() for t in texts):
+            raise RuntimeError("boom in topics")
+        return real(model, texts)
+
+    # assign_topic goes through the patched assign_topics as well
+    monkeypatch.setattr(topics_module, "assign_topics", assign)
+    dist = run_corpus(posts[:20] + [boom] + posts[20:], trained_pipeline)
+    assert dist.failed_posts == 1
+    assert (dist.hateful_posts, dist.normal_posts, dist.excluded_posts,
+            dist.per_target) == (expected.hateful_posts, expected.normal_posts,
+                                 expected.excluded_posts, expected.per_target)
