@@ -22,6 +22,7 @@ import sys
 from . import __version__
 from .corpus import (
     SplitConfig,
+    _peek_keys,
     binarize,
     load_dialoconan,
     load_examples,
@@ -111,25 +112,6 @@ def _prescan_config(argv) -> str | None:
 
 
 # ----------------------------------------------------------------- helpers
-
-def _peek_keys(path: str) -> set:
-    if not os.path.isfile(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        if path.endswith(".csv"):
-            header = fh.readline().strip()
-            return {k.strip() for k in header.split(",") if k.strip()}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                return set()
-            return set(record) if isinstance(record, dict) else set()
-    return set()
-
 
 def _report_diagnostics(loaded, label: str) -> None:
     if loaded.errors:
@@ -689,6 +671,9 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as exc:  # a ValueError, but about the input
+        print(f"data error: input is not valid UTF-8: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,11 @@
 """Dataset ingestion, label aggregation, binarization and splitting.
 
-Five loaders share one error policy: malformed rows are collected with their
-row numbers instead of aborting, unless more than 10% of rows fail, which
-points at a wrong file rather than a few bad records. Loaders are pure
-functions of the file bytes; splits are pure functions of (data, config).
+Six loaders (Parler, HateXplain, DIALOCONAN, ToxiGen, TAP and the unified
+examples file) read JSON lines or CSV through one reader and share one row
+loop: malformed rows are collected with their row numbers instead of
+aborting, unless more than 10% of rows fail, which points at a wrong file
+rather than a few bad records. Loaders are pure functions of the file bytes;
+splits are pure functions of (data, config).
 """
 
 from __future__ import annotations
@@ -135,11 +137,11 @@ class RowError:
 class LoadedRows(list):
     """A list of parsed examples plus per-file diagnostics."""
 
-    def __init__(self, items=(), errors=None, warnings=None, dropped_no_majority=0):
+    def __init__(self, items=()):
         super().__init__(items)
-        self.errors: list[RowError] = list(errors or [])
-        self.warnings: Counter = Counter(warnings or {})
-        self.dropped_no_majority = dropped_no_majority
+        self.errors: list[RowError] = []
+        self.warnings: Counter = Counter()
+        self.dropped_no_majority = 0
 
 
 class _RowProblem(Exception):
@@ -147,7 +149,10 @@ class _RowProblem(Exception):
 
 
 def _iter_records(path: str):
-    """Yield (row_number, record_dict) from a JSON-lines or CSV file."""
+    """Yield (row_number, record) from a JSON-lines or CSV file.
+
+    A line that is not a JSON object yields a _RowProblem as its record.
+    """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     try:
@@ -174,12 +179,40 @@ def _iter_records(path: str):
         raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
-def _finish(path: str, result: LoadedRows, total_rows: int) -> LoadedRows:
-    if total_rows == 0:
+def _peek_keys(path: str) -> set:
+    """The keys of a corpus file's first record; none if that row is malformed."""
+    _, record = next(_iter_records(path), (None, None))
+    return set(record) if isinstance(record, dict) else set()
+
+
+def _load(path: str, parse, check=None) -> LoadedRows:
+    """The row loop every loader shares.
+
+    ``parse(rownum, record, result)`` returns the row's example, or None to
+    skip it; a _RowProblem, raised by parse or yielded by the reader, becomes
+    a RowError with the row number. ``check(result)`` may reject the whole
+    file before the error rate is judged.
+    """
+    result = LoadedRows()
+    total = 0
+    for rownum, record in _iter_records(path):
+        total += 1
+        try:
+            if isinstance(record, _RowProblem):
+                raise record
+            item = parse(rownum, record, result)
+        except _RowProblem as exc:
+            result.errors.append(RowError(rownum, str(exc)))
+        else:
+            if item is not None:
+                result.append(item)
+    if check is not None:
+        check(result)
+    if total == 0:
         result.warnings["empty_file"] += 1
-    elif len(result.errors) * 10 > total_rows:
+    elif len(result.errors) * 10 > total:
         raise DataError(
-            f"{path}: {len(result.errors)} of {total_rows} rows failed to parse "
+            f"{path}: {len(result.errors)} of {total} rows failed to parse "
             f"(first: row {result.errors[0].row}: {result.errors[0].message})"
         )
     return result
@@ -198,45 +231,34 @@ def load_parler(path: str) -> LoadedRows:
     Accepts JSON-lines or CSV (with header). Returns raw, unnormalized posts;
     labeling happens later in ``binarize``.
     """
-    result = LoadedRows()
-    total = 0
-    for rownum, record in _iter_records(path):
-        total += 1
-        if isinstance(record, _RowProblem):
-            result.errors.append(RowError(rownum, str(record)))
-            continue
-        try:
-            text = _require_text(record)
-            label_mean = record.get("label_mean")
-            if label_mean in ("", None):
-                label_mean = None
-            else:
-                try:
-                    label_mean = float(label_mean)
-                except (TypeError, ValueError):
-                    raise _RowProblem(f"label_mean not numeric: {label_mean!r}")
-                if not 1.0 <= label_mean <= 5.0:
-                    raise _RowProblem(f"label_mean out of [1, 5]: {label_mean}")
-            disputable = record.get("disputable")
-            if disputable in ("", None):
-                disputable = None
-            elif isinstance(disputable, str):
-                disputable = disputable.strip().lower() in ("true", "1", "yes")
-            else:
-                disputable = bool(disputable)
-            user_id = record.get("user_id") or None
-            result.append(
-                Post(
-                    id=str(record.get("id", rownum)),
-                    text=text,
-                    label_mean=label_mean,
-                    disputable=disputable,
-                    user_id=user_id,
-                )
-            )
-        except _RowProblem as exc:
-            result.errors.append(RowError(rownum, str(exc)))
-    return _finish(path, result, total)
+    def parse(rownum, record, result):
+        text = _require_text(record)
+        label_mean = record.get("label_mean")
+        if label_mean in ("", None):
+            label_mean = None
+        else:
+            try:
+                label_mean = float(label_mean)
+            except (TypeError, ValueError):
+                raise _RowProblem(f"label_mean not numeric: {label_mean!r}")
+            if not 1.0 <= label_mean <= 5.0:
+                raise _RowProblem(f"label_mean out of [1, 5]: {label_mean}")
+        disputable = record.get("disputable")
+        if disputable in ("", None):
+            disputable = None
+        elif isinstance(disputable, str):
+            disputable = disputable.strip().lower() in ("true", "1", "yes")
+        else:
+            disputable = bool(disputable)
+        return Post(
+            id=str(record.get("id", rownum)),
+            text=text,
+            label_mean=label_mean,
+            disputable=disputable,
+            user_id=record.get("user_id") or None,
+        )
+
+    return _load(path, parse)
 
 
 def binarize(
@@ -276,33 +298,19 @@ def load_hatexplain(path: str) -> LoadedRows:
     distinct have no defensible label and are dropped (counted separately,
     not treated as errors).
     """
-    result = LoadedRows()
-    total = 0
-    config = None  # default normalizer
-    for rownum, record in _iter_records(path):
-        total += 1
-        if isinstance(record, _RowProblem):
-            result.errors.append(RowError(rownum, str(record)))
-            continue
-        try:
-            text = _require_text(record)
-            annotations = record.get("annotations")
-            if not isinstance(annotations, list) or len(annotations) != 3:
-                raise _RowProblem("expected exactly 3 annotations")
-            mapped = [_map_group(str(a)) for a in annotations]
-            counts = Counter(mapped)
-            target, count = counts.most_common(1)[0]
-            if count == 1:
-                result.dropped_no_majority += 1
-                continue
-            result.append(
-                TargetExample(
-                    text=str(normalize(text, config)), target=target, origin="hatexplain"
-                )
-            )
-        except _RowProblem as exc:
-            result.errors.append(RowError(rownum, str(exc)))
-    return _finish(path, result, total)
+    def parse(rownum, record, result):
+        text = _require_text(record)
+        annotations = record.get("annotations")
+        if not isinstance(annotations, list) or len(annotations) != 3:
+            raise _RowProblem("expected exactly 3 annotations")
+        mapped = [_map_group(str(a)) for a in annotations]
+        target, count = Counter(mapped).most_common(1)[0]
+        if count == 1:
+            result.dropped_no_majority += 1
+            return None
+        return TargetExample(text=str(normalize(text)), target=target, origin="hatexplain")
+
+    return _load(path, parse)
 
 
 def load_dialoconan(path: str) -> LoadedRows:
@@ -312,31 +320,21 @@ def load_dialoconan(path: str) -> LoadedRows:
     outside the four minorities go to Other, unknown target strings too but
     with a warning counter so a schema drift is visible.
     """
-    result = LoadedRows()
-    total = 0
-    for rownum, record in _iter_records(path):
-        total += 1
-        if isinstance(record, _RowProblem):
-            result.errors.append(RowError(rownum, str(record)))
-            continue
-        try:
-            text = _require_text(record)
-            speaker = str(record.get("speaker", "")).strip().lower()
-            if speaker not in ("hater", "counter"):
-                raise _RowProblem(f"unknown speaker role: {record.get('speaker')!r}")
-            if speaker != "hater":
-                continue
-            raw_target = str(record.get("target", "")).strip().lower()
-            target = _KNOWN_DIALOGUE_TARGETS.get(raw_target)
-            if target is None:
-                result.warnings["unknown_target"] += 1
-                target = "Other"
-            result.append(
-                TargetExample(text=str(normalize(text)), target=target, origin="dialoconan")
-            )
-        except _RowProblem as exc:
-            result.errors.append(RowError(rownum, str(exc)))
-    return _finish(path, result, total)
+    def parse(rownum, record, result):
+        text = _require_text(record)
+        speaker = str(record.get("speaker", "")).strip().lower()
+        if speaker not in ("hater", "counter"):
+            raise _RowProblem(f"unknown speaker role: {record.get('speaker')!r}")
+        if speaker != "hater":
+            return None
+        raw_target = str(record.get("target", "")).strip().lower()
+        target = _KNOWN_DIALOGUE_TARGETS.get(raw_target)
+        if target is None:
+            result.warnings["unknown_target"] += 1
+            target = "Other"
+        return TargetExample(text=str(normalize(text)), target=target, origin="dialoconan")
+
+    return _load(path, parse)
 
 
 def load_toxigen(path: str, variant: str) -> LoadedRows:
@@ -348,35 +346,27 @@ def load_toxigen(path: str, variant: str) -> LoadedRows:
     """
     if variant not in ("small", "large"):
         raise ValueError("variant must be 'small' or 'large'")
-    result = LoadedRows()
-    total = 0
-    for rownum, record in _iter_records(path):
-        total += 1
-        if isinstance(record, _RowProblem):
-            result.errors.append(RowError(rownum, str(record)))
-            continue
-        try:
-            text = _require_text(record)
-            if variant == "small":
-                toxicity = record.get("toxicity")
-                if toxicity is None:
-                    raise _RowProblem("missing toxicity score")
-                try:
-                    toxicity = float(toxicity)
-                except (TypeError, ValueError):
-                    raise _RowProblem(f"toxicity not numeric: {toxicity!r}")
-                agree = record.get("annotators_agree")
-                if not isinstance(agree, bool):
-                    raise _RowProblem("missing annotators_agree flag")
-                if toxicity < 4.0 or not agree:
-                    continue
-            target = _map_group(str(record.get("target_group", "")))
-            result.append(
-                TargetExample(text=str(normalize(text)), target=target, origin=f"toxigen_{variant}")
-            )
-        except _RowProblem as exc:
-            result.errors.append(RowError(rownum, str(exc)))
-    return _finish(path, result, total)
+
+    def parse(rownum, record, result):
+        text = _require_text(record)
+        if variant == "small":
+            toxicity = record.get("toxicity")
+            if toxicity is None:
+                raise _RowProblem("missing toxicity score")
+            try:
+                toxicity = float(toxicity)
+            except (TypeError, ValueError):
+                raise _RowProblem(f"toxicity not numeric: {toxicity!r}")
+            agree = record.get("annotators_agree")
+            if not isinstance(agree, bool):
+                raise _RowProblem("missing annotators_agree flag")
+            if toxicity < 4.0 or not agree:
+                return None
+        target = _map_group(str(record.get("target_group", "")))
+        return TargetExample(text=str(normalize(text)), target=target,
+                             origin=f"toxigen_{variant}")
+
+    return _load(path, parse)
 
 
 def load_tap(path: str, fold_politician: bool) -> LoadedRows:
@@ -386,25 +376,16 @@ def load_tap(path: str, fold_politician: bool) -> LoadedRows:
     output fits the 5-class model space; without it the raw six classes
     survive.
     """
-    result = LoadedRows()
-    total = 0
-    for rownum, record in _iter_records(path):
-        total += 1
-        if isinstance(record, _RowProblem):
-            result.errors.append(RowError(rownum, str(record)))
-            continue
-        try:
-            text = _require_text(record)
-            raw = str(record.get("target", "")).strip().lower()
-            target = _TAP_CLASSES.get(raw)
-            if target is None:
-                raise _RowProblem(f"unknown class: {record.get('target')!r}")
-            if fold_politician and target == "Politician":
-                target = "Other"
-            result.append(TargetExample(text=str(normalize(text)), target=target, origin="tap"))
-        except _RowProblem as exc:
-            result.errors.append(RowError(rownum, str(exc)))
-    return _finish(path, result, total)
+    def parse(rownum, record, result):
+        text = _require_text(record)
+        target = _TAP_CLASSES.get(str(record.get("target", "")).strip().lower())
+        if target is None:
+            raise _RowProblem(f"unknown class: {record.get('target')!r}")
+        if fold_politician and target == "Politician":
+            target = "Other"
+        return TargetExample(text=str(normalize(text)), target=target, origin="tap")
+
+    return _load(path, parse)
 
 
 def save_examples(examples, path: str) -> None:
@@ -431,35 +412,24 @@ def load_examples(path: str) -> LoadedRows:
     taken as already normalized; loaders that produce this format normalize
     on the way in.
     """
-    result = LoadedRows()
-    total = 0
-    kinds = set()
-    for rownum, record in _iter_records(path):
-        total += 1
-        if isinstance(record, _RowProblem):
-            result.errors.append(RowError(rownum, str(record)))
-            continue
-        try:
-            text = _require_text(record)
-            augmented = bool(record.get("augmented", False))
-            origin = str(record.get("origin", ""))
-            has_label = "label" in record
-            has_target = "target" in record
-            if has_label == has_target:
-                raise _RowProblem("row needs exactly one of label or target")
-            if has_label:
-                kinds.add("label")
-                result.append(LabeledExample(text=text, label=str(record["label"]),
-                                             origin=origin, augmented=augmented))
-            else:
-                kinds.add("target")
-                result.append(TargetExample(text=text, target=str(record["target"]),
-                                            origin=origin, augmented=augmented))
-        except _RowProblem as exc:
-            result.errors.append(RowError(rownum, str(exc)))
-    if len(kinds) > 1:
-        raise DataError(f"{path}: mixes label and target rows")
-    return _finish(path, result, total)
+    def parse(rownum, record, result):
+        text = _require_text(record)
+        augmented = bool(record.get("augmented", False))
+        origin = str(record.get("origin", ""))
+        has_label = "label" in record
+        if has_label == ("target" in record):
+            raise _RowProblem("row needs exactly one of label or target")
+        if has_label:
+            return LabeledExample(text=text, label=str(record["label"]),
+                                  origin=origin, augmented=augmented)
+        return TargetExample(text=text, target=str(record["target"]),
+                             origin=origin, augmented=augmented)
+
+    def one_kind(result):
+        if len({type(e) for e in result}) > 1:
+            raise DataError(f"{path}: mixes label and target rows")
+
+    return _load(path, parse, one_kind)
 
 
 def _class_key(example) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import predict_batch
+from .model import _example_label, predict_batch
 
 __all__ = [
     "ConfusionMatrix",
@@ -148,14 +148,6 @@ def metrics(cm: ConfusionMatrix, positive=None, **stamps) -> EvaluationReport:
         degenerate=degenerate,
         **stamps,
     )
-
-
-def _example_label(example):
-    if hasattr(example, "label"):
-        return example.label
-    if hasattr(example, "target"):
-        return example.target
-    raise TypeError(f"not a labeled example: {example!r}")
 
 
 def evaluate(

@@ -31,7 +31,7 @@ from .distribution import (
 )
 from .model import TrainedClassifier, predict_batch
 from .model import load as load_model
-from .normalize import NormalizerConfig, is_english, normalize
+from .normalize import is_english, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +76,6 @@ class Pipeline:
     topic_model: object = None
     threshold_tag: str = ""
     batch_size: int = 256
-    normalizer_config: NormalizerConfig | None = None
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def classify_post(text: str, pipeline: Pipeline) -> Classification:
     cannot place with a minority group come back as Other by that model's
     own training contract. An exception raised by either stage propagates.
     """
-    normalized = str(normalize(text, pipeline.normalizer_config))
+    normalized = str(normalize(text))
     result = _classify_batch([normalized], pipeline)[0][0]
     if isinstance(result, Exception):
         raise result
@@ -199,16 +198,15 @@ def _scan_batch(batch: list, pipeline: Pipeline):
     """(kind, target) of each post of a batch in input order, plus the
     detector and target-model seconds; kind is hate, normal, excluded or
     failed."""
-    config = pipeline.normalizer_config
     outcomes = [("failed", None)] * len(batch)
     english, texts = [], []
     for i, post in enumerate(batch):
         text = getattr(post, "text", post)
         try:
-            if not is_english(text, config):
+            if not is_english(text):
                 outcomes[i] = ("excluded", None)
                 continue
-            texts.append(str(normalize(text, config)))
+            texts.append(str(normalize(text)))
             english.append(i)
         except Exception as exc:  # noqa: BLE001 - per-post resilience
             logger.debug("post failed: %s", exc)

@@ -428,6 +428,46 @@ def test_report_rejects_bad_json(tmp_path):
     assert main(["report", "--in", str(bad), "--format", "csv"]) == 2
 
 
+# ---------------------------------------------------------------- input files
+
+@pytest.mark.parametrize("command", ["normalize", "topics fit", "train", "run"])
+def test_undecodable_input_is_a_data_error(command, tmp_path, capsys):
+    text = tmp_path / "bad.txt"
+    text.write_bytes(b"first post\n\xff second post\n")
+    examples = tmp_path / "bad.jsonl"
+    examples.write_bytes(b'{"text": "a post \xff", "label": "hate", "origin": "s"}\n')
+    out = str(tmp_path / "out")
+    argv = {
+        "normalize": ["normalize", "--in", str(text), "--out", out],
+        "topics fit": ["topics", "fit", "--in", str(examples), "--out", out],
+        "train": ["train", "--task", "detect", "--in", str(examples), "--out", out],
+        "run": ["run", "--corpus", str(text), "--out", out,
+                "--detector", trained_detector(tmp_path),
+                "--target-model", trained_target_model(tmp_path)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("task, header", [("detect", "id,text,label_mean"),
+                                          ("target", "id,text,target")])
+def test_train_on_a_header_only_csv_asks_for_ingest(task, header, tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text(header + "\n")
+    assert main(["train", "--task", task, "--in", str(data),
+                 "--out", str(tmp_path / "m.bin")]) == 2
+    assert "run `ingest` first" in capsys.readouterr().err
+
+
+def test_train_sniffs_a_quoted_csv_header_as_the_loader_reads_it(tmp_path):
+    data = tmp_path / "parler.csv"
+    rows = [f'"h{i}","you are all filth and scum {i}","4.8"' for i in range(10)]
+    rows += [f'"n{i}","a lovely day in the park {i}","1.2"' for i in range(10)]
+    data.write_text('"id","text","label_mean"\n' + "\n".join(rows) + "\n")
+    assert main(["train", "--task", "detect", "--in", str(data), "--epochs", "1",
+                 "--hash-dim", "1024", "--out", str(tmp_path / "m.bin")]) == 0
+
+
 # ---------------------------------------------------------------- explain
 
 def test_explain_writes_json_and_html(tmp_path, capsys):

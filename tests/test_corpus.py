@@ -1,5 +1,7 @@
 """Tests for dataset loading, binarization and splitting."""
 
+import csv
+import json
 import os
 
 import pytest
@@ -13,10 +15,12 @@ from hatescan.corpus import (
     TARGET_CLASSES_RAW,
     LabeledExample,
     Post,
+    RowError,
     SplitConfig,
     TargetExample,
     binarize,
     load_dialoconan,
+    load_examples,
     load_hatexplain,
     load_parler,
     load_tap,
@@ -397,3 +401,115 @@ def test_examples_row_without_kind_reports_row_number(tmp_path) -> None:
     path.write_text('{"text": "a", "origin": "x"}\n')
     with pytest.raises(DataError, match="row 1"):
         load_examples(str(path))
+
+
+# ------------------------------------------------------ shared row policy
+
+# Every loader: a good JSON-lines record, and a good CSV row where the record
+# fits flat columns (HateXplain's annotation list and ToxiGen's agreement
+# flag do not).
+LOADERS = {
+    "parler": (load_parler,
+               {"id": "p", "text": "a post", "label_mean": 2.0},
+               {"id": "p", "text": "a post", "label_mean": "2.0"}),
+    "hatexplain": (load_hatexplain,
+                   {"text": "a post", "annotations": ["Jewish", "Jewish", "Other"]},
+                   None),
+    "dialoconan": (load_dialoconan,
+                   {"speaker": "hater", "target": "JEWS", "text": "a post"},
+                   {"speaker": "hater", "target": "JEWS", "text": "a post"}),
+    "toxigen": (lambda p: load_toxigen(p, "small"),
+                {"text": "a post", "target_group": "black", "toxicity": 4.5,
+                 "annotators_agree": True},
+                None),
+    "tap": (lambda p: load_tap(p, fold_politician=True),
+            {"text": "a post", "target": "Jewish"},
+            {"text": "a post", "target": "Jewish"}),
+    "examples": (load_examples,
+                 {"text": "a post", "label": "hate", "origin": "s", "augmented": False},
+                 {"text": "a post", "label": "hate", "origin": "s"}),
+}
+CSV_LOADERS = [name for name, (_, _, csv_row) in LOADERS.items() if csv_row]
+
+
+def _write_jsonl(path, lines) -> str:
+    """Write raw lines; dicts are dumped as JSON, strings go in as they are."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write((json.dumps(line) if isinstance(line, dict) else line) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+def test_loaders_report_bad_lines_with_their_row_numbers(name, tmp_path) -> None:
+    load, good, _ = LOADERS[name]
+    lines = [good, "", good, "not json", good, good, good, "[1, 2]"] + [good] * 16
+    rows = load(_write_jsonl(tmp_path / "rows.jsonl", lines))
+    assert len(rows) == 21
+    assert rows.errors == [RowError(4, "invalid JSON: Expecting value"),
+                           RowError(8, "record is not an object")]
+    assert rows.warnings == {} and rows.dropped_no_majority == 0
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+def test_loaders_abort_when_more_than_a_tenth_of_rows_fail(name, tmp_path) -> None:
+    load, good, _ = LOADERS[name]
+    at_limit = _write_jsonl(tmp_path / "at_limit.jsonl", [good, good, "[]"] + [good] * 7)
+    assert len(load(at_limit).errors) == 1  # 1 of 10 rows is not above a tenth
+    over = _write_jsonl(tmp_path / "over.jsonl", [good, good, "[]"] + [good] * 6)
+    with pytest.raises(DataError) as info:
+        load(over)
+    assert str(info.value) == (
+        f"{over}: 1 of 9 rows failed to parse (first: row 3: record is not an object)")
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+@pytest.mark.parametrize("content", ["", "\n  \n"])
+def test_loaders_warn_on_an_empty_file(name, content, tmp_path) -> None:
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(content, encoding="utf-8")
+    rows = LOADERS[name][0](str(empty))
+    assert list(rows) == [] and rows.errors == []
+    assert rows.warnings["empty_file"] == 1
+
+
+@pytest.mark.parametrize("name", list(LOADERS))
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_loaders_turn_missing_and_undecodable_files_into_data_errors(
+        name, suffix, tmp_path) -> None:
+    load, good, _ = LOADERS[name]
+    with pytest.raises(DataError, match="no such file"):
+        load(str(tmp_path / f"absent{suffix}"))
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_bytes(b"text\n" + json.dumps(good).encode() + b"\n\xff\xfe\n")
+    with pytest.raises(DataError, match="not valid UTF-8"):
+        load(str(bad))
+
+
+@pytest.mark.parametrize("name", CSV_LOADERS)
+def test_csv_row_numbers_count_the_header_as_row_one(name, tmp_path) -> None:
+    load, _, good = LOADERS[name]
+    bad = dict(good, text="  ")
+    rows_in = [good, good, good, bad] + [good] * 8
+    target = tmp_path / "rows.csv"
+    with open(target, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(good))
+        writer.writeheader()
+        writer.writerows(rows_in)
+    rows = load(str(target))
+    assert len(rows) == 11
+    assert rows.errors == [RowError(5, "missing or empty text")]
+
+
+def test_load_toxigen_rejects_a_bad_variant_before_opening_the_file(tmp_path) -> None:
+    with pytest.raises(ValueError, match="variant"):
+        load_toxigen(str(tmp_path / "absent.jsonl"), "medium")
+
+
+def test_examples_mixed_kinds_are_rejected_before_the_error_rate(tmp_path) -> None:
+    label = LOADERS["examples"][1]
+    target = {"text": "b", "target": "Islam", "origin": "x"}
+    mixed = _write_jsonl(tmp_path / "rows.jsonl", [label, "[]", "[]", target])
+    with pytest.raises(DataError) as info:
+        load_examples(mixed)
+    assert str(info.value) == f"{mixed}: mixes label and target rows"
