@@ -408,13 +408,23 @@ def save_examples(examples, path: str) -> None:
 def load_examples(path: str) -> LoadedRows:
     """Read a JSON-lines examples file written by save_examples.
 
-    Rows must be homogeneous: all label rows or all target rows. Texts are
-    taken as already normalized; loaders that produce this format normalize
-    on the way in.
+    Rows must be homogeneous: all label rows or all target rows. A row
+    without ``augmented`` (or, in CSV, with an empty cell) is not augmented;
+    any value but true or false is a row error. Texts are taken as already
+    normalized; loaders that produce this format normalize on the way in.
     """
     def parse(rownum, record, result):
         text = _require_text(record)
-        augmented = bool(record.get("augmented", False))
+        # JSON true/false, or the text true/false in any case as CSV gives
+        # it; an empty CSV cell is a missing field
+        augmented = record.get("augmented")
+        if isinstance(augmented, str):
+            augmented = {"true": True, "false": False, "": None}.get(
+                augmented.lower(), augmented)
+        if augmented is None:
+            augmented = False
+        elif not isinstance(augmented, bool):
+            raise _RowProblem(f"augmented is not true or false: {augmented!r}")
         origin = str(record.get("origin", ""))
         has_label = "label" in record
         if has_label == ("target" in record):

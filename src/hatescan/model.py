@@ -11,7 +11,12 @@ scan) go through ``featurize_batch`` and ``predict_batch``. They return
 exactly what ``featurize`` and ``predict`` return per text. Within one call,
 each word segment, each segment end with its few neighbouring characters and
 each run of words is turned into bucket ids once, and each distinct n-gram
-is hashed once; the four memo tables share one size cap.
+is hashed once; the four memo tables share one size cap. The scan passes
+one memo through both stages of a batch, and ``predict_batch`` reuses it
+only for a model of the feature config it was filled under.
+
+``save`` writes the weights from their own buffer and ``load`` reads them
+into the array the model holds, so neither copies a model's weights.
 
 Training runs on the hashed columns its texts touch, not on all ``hash_dim``
 of them, and writes the result into a full-width matrix at the end. That is
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
 import struct
@@ -54,14 +60,16 @@ __all__ = [
 _MAGIC = b"HSCM"
 _VERSION = 1
 
-# the four memo tables of one featurize_batch call (character n-gram, word
-# run, segment and segment end) share this cap: a text that finds them
-# holding this many entries between them clears them first, so they never
-# hold more than the cap plus one text's keys. The segment table is kept
-# while it holds under half the cap: segments are few and the most reused.
-# At 2^14 a run's peak RSS jumped by a weight matrix's size in about a third
-# of long bench runs, and at 2^13 in none; one explanation needs well under
-# 2^13 entries.
+# the four memo tables of one memo (character n-gram, word run, segment and
+# segment end) share this cap: a text that finds them holding this many
+# entries between them clears them first, so they never hold more than the
+# cap plus one text's keys. The segment table is kept while it holds under
+# half the cap: segments are few and the most reused. With one memo per scan
+# batch, the bench's long runs (2-CPU box, ten each) peaked at 136.1-137.7 MB
+# RSS at 2^13 and at 137.1-139.3 MB at 2^14, against a median of 136.2-136.5
+# MB before the memo was shared. 2^14 hashed about a quarter fewer n-grams
+# per scan, but one of its runs peaked 2.2% over that median. One
+# explanation of a 13-18 token post needs about 300-400 entries.
 _MEMO_LIMIT = 1 << 13
 # a word plus the whitespace after it; the first segment also takes any
 # leading whitespace, and a text of whitespace only is one segment
@@ -135,15 +143,38 @@ class TrainedClassifier:
             raise ModelError("class_list must be non-empty")
         if len(set(self.class_list)) != len(self.class_list):
             raise ModelError("class_list contains duplicates")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+        # min and max carry any NaN and reach any infinity, without the
+        # weight-sized temporary array that isfinite(...).all() makes
+        if not all(np.isfinite(reduce(values, initial=0.0))
+                   for values in (self.weights, self.bias) for reduce in (np.min, np.max)):
             raise ModelError("model weights contain NaN or Inf")
 
     def predict(self, text: str):
         return predict(self, text)
 
 
-def _featurize_each(texts, config: FeatureConfig):
-    """Yield the ``featurize`` vector of each text in turn.
+class _Memo:
+    """The n-gram memo tables of one featurizing pass, for one feature config.
+
+    A memo made without a config takes the config of the first model that
+    scores through it. ``predict_batch`` reuses a memo only for a model of
+    the same config, since bucket ids depend on the hash dimension, the seed
+    and the n-gram sizes.
+    """
+
+    __slots__ = ("config", "grams", "runs", "inside", "across")
+
+    def __init__(self, config: FeatureConfig | None = None):
+        self.config = config
+        self.grams: dict[str, int] = {}
+        self.runs: dict[tuple, bytes] = {}
+        self.inside: dict[str, bytes] = {}
+        self.across: dict[tuple, bytes] = {}
+
+
+def _featurize_each(texts, memo: _Memo):
+    """Yield the ``featurize`` vector of each text in turn, under
+    ``memo.config``.
 
     A text is cut into segments, a word plus the whitespace after it (the
     first segment also takes any leading whitespace). A character n-gram
@@ -160,15 +191,13 @@ def _featurize_each(texts, config: FeatureConfig):
     from an array. A text's bucket counts are small integers, so counting
     them with ``np.unique`` gives the same floats as adding ones.
     """
+    config = memo.config
     mask = config.hash_dim - 1
     salt = config.hash_seed.to_bytes(8, "little", signed=False)
     word_families = [(n, f"w{n}\x00") for n in config.word_ngrams]
     char_families = [(n, f"c{n}\x00") for n in config.char_ngrams]
     reach = max(config.char_ngrams, default=1) - 1
-    grams: dict[str, int] = {}
-    runs: dict[tuple, bytes] = {}
-    inside: dict[str, bytes] = {}
-    across: dict[tuple, bytes] = {}
+    grams, runs, inside, across = memo.grams, memo.runs, memo.inside, memo.across
     tables = (grams, runs, inside, across)
 
     def bucket(gram: str) -> int:
@@ -240,9 +269,7 @@ def featurize_batch(texts, config: FeatureConfig | None = None) -> list:
     holding ``_MEMO_LIMIT`` entries between them (the segment table only
     once it holds half of them), which bounds memory and changes no vector.
     """
-    if config is None:
-        config = FeatureConfig()
-    return list(_featurize_each(texts, config))
+    return list(_featurize_each(texts, _Memo(config or FeatureConfig())))
 
 
 def featurize(text: str, config: FeatureConfig | None = None) -> SparseVector:
@@ -517,17 +544,22 @@ def predict(model: TrainedClassifier, text: str):
     return _predict_vector(model, featurize(text, model.feature_config))
 
 
-def predict_batch(model, texts) -> list:
+def predict_batch(model, texts, memo: _Memo | None = None) -> list:
     """``predict`` of every text, as a list of (label, probs).
 
     The bundled classifier featurizes the texts in one memoized pass; any
     other model (the external backend contract: ``class_list`` plus
-    ``predict(text)``) is asked text by text.
+    ``predict(text)``) is asked text by text. A ``memo`` shared between
+    calls carries the bucket ids one pass worked out into the next; it is
+    used only while its config matches the model's, and a fresh memo
+    otherwise, so sharing one never changes a result.
     """
     if not isinstance(model, TrainedClassifier):
         return [model.predict(text) for text in texts]
-    return [_predict_vector(model, vec)
-            for vec in _featurize_each(texts, model.feature_config)]
+    if memo is None or memo.config not in (None, model.feature_config):
+        memo = _Memo(model.feature_config)
+    memo.config = model.feature_config
+    return [_predict_vector(model, vec) for vec in _featurize_each(texts, memo)]
 
 
 def _predict_vector(model: TrainedClassifier, vec: SparseVector):
@@ -537,8 +569,13 @@ def _predict_vector(model: TrainedClassifier, vec: SparseVector):
 
 
 def save(model: TrainedClassifier, path: str) -> None:
-    """Write the versioned binary model file (little-endian, checksummed)."""
-    weight_bytes = model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
+    """Write the versioned binary model file (little-endian, checksummed).
+
+    The payload is checksummed and written from the arrays' own buffers, so
+    a little-endian float64 model is saved without a copy of its weights.
+    """
+    weights = np.ascontiguousarray(model.weights, dtype="<f8")
+    bias = np.ascontiguousarray(model.bias, dtype="<f8")
     header = {
         "class_list": list(model.class_list),
         "feature_config": {
@@ -548,7 +585,7 @@ def save(model: TrainedClassifier, path: str) -> None:
             "hash_seed": model.feature_config.hash_seed,
         },
         "n_classes": len(model.class_list),
-        "payload_crc32": zlib.crc32(weight_bytes),
+        "payload_crc32": zlib.crc32(bias, zlib.crc32(weights)),
         "training_log": model.training_log,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -557,52 +594,60 @@ def save(model: TrainedClassifier, path: str) -> None:
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(weight_bytes)
+        fh.write(weights)
+        fh.write(bias)
 
 
 def load(path: str) -> TrainedClassifier:
-    """Read a model file back; bit-exact inverse of ``save``."""
+    """Read a model file back; bit-exact inverse of ``save``.
+
+    The payload is read straight into the array that ``weights`` and
+    ``bias`` are views of, so loading holds one copy of the weights.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            head = fh.read(12)
+            if len(head) < 12 or head[:4] != _MAGIC:
+                raise ModelError(f"{path}: not a model file (bad magic)")
+            (version,) = struct.unpack("<I", head[4:8])
+            if version != _VERSION:
+                raise ModelError(f"{path}: unsupported model version {version}")
+            (header_len,) = struct.unpack("<I", head[8:12])
+            header_bytes = fh.read(header_len)
+            if len(header_bytes) < header_len:
+                raise ModelError(f"{path}: truncated header")
+            try:
+                header = json.loads(header_bytes.decode("utf-8"))
+                class_list = tuple(header["class_list"])
+                fc = FeatureConfig(
+                    hash_dim=header["feature_config"]["hash_dim"],
+                    word_ngrams=tuple(header["feature_config"]["word_ngrams"]),
+                    char_ngrams=tuple(header["feature_config"]["char_ngrams"]),
+                    hash_seed=header["feature_config"]["hash_seed"],
+                )
+                crc_expected = header["payload_crc32"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ModelError(f"{path}: corrupt header: {exc}") from exc
+
+            k = len(class_list)
+            payload_len = os.fstat(fh.fileno()).st_size - 12 - header_len
+            expected_len = (k * fc.hash_dim + k) * 8
+            if payload_len != expected_len:
+                raise ModelError(
+                    f"{path}: weight payload is {payload_len} bytes, expected {expected_len}"
+                )
+            values = np.empty(k * fc.hash_dim + k, dtype="<f8")
+            if fh.readinto(values) != expected_len:
+                raise ModelError(f"{path}: truncated weight payload")
     except OSError as exc:
         raise ModelError(f"cannot read model file: {exc}") from exc
 
-    if len(blob) < 12 or blob[:4] != _MAGIC:
-        raise ModelError(f"{path}: not a model file (bad magic)")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != _VERSION:
-        raise ModelError(f"{path}: unsupported model version {version}")
-    (header_len,) = struct.unpack("<I", blob[8:12])
-    if len(blob) < 12 + header_len:
-        raise ModelError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-        class_list = tuple(header["class_list"])
-        fc = FeatureConfig(
-            hash_dim=header["feature_config"]["hash_dim"],
-            word_ngrams=tuple(header["feature_config"]["word_ngrams"]),
-            char_ngrams=tuple(header["feature_config"]["char_ngrams"]),
-            hash_seed=header["feature_config"]["hash_seed"],
-        )
-        crc_expected = header["payload_crc32"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ModelError(f"{path}: corrupt header: {exc}") from exc
-
-    k = len(class_list)
-    payload = blob[12 + header_len :]
-    expected_len = (k * fc.hash_dim + k) * 8
-    if len(payload) != expected_len:
-        raise ModelError(
-            f"{path}: weight payload is {len(payload)} bytes, expected {expected_len}"
-        )
-    if zlib.crc32(payload) != crc_expected:
+    if zlib.crc32(values) != crc_expected:
         raise ModelError(f"{path}: checksum mismatch, file is corrupt")
-    weights = np.frombuffer(payload[: k * fc.hash_dim * 8], dtype="<f8").reshape(k, fc.hash_dim)
-    bias = np.frombuffer(payload[k * fc.hash_dim * 8 :], dtype="<f8")
+    values = values.astype(np.float64, copy=False)
     return TrainedClassifier(
-        weights=weights.astype(np.float64),
-        bias=bias.astype(np.float64),
+        weights=values[: k * fc.hash_dim].reshape(k, fc.hash_dim),
+        bias=values[k * fc.hash_dim :],
         class_list=class_list,
         feature_config=fc,
         training_log=header.get("training_log", []),

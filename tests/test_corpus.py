@@ -403,6 +403,41 @@ def test_examples_row_without_kind_reports_row_number(tmp_path) -> None:
         load_examples(str(path))
 
 
+@pytest.mark.parametrize("suffix, value, want", [
+    (".jsonl", True, True), (".jsonl", False, False), (".jsonl", None, False),
+    (".jsonl", "maybe", None), (".jsonl", 0, None),
+    (".csv", "true", True), (".csv", "False", False), (".csv", "FALSE", False),
+    (".csv", None, False), (".csv", "", False), (".csv", "0", None),
+    (".csv", "yes", None),
+])
+def test_examples_read_augmented_as_true_or_false(suffix, value, want, tmp_path) -> None:
+    """A value of None means a row without the field (in CSV, an empty
+    cell, as in every filler row); a want of None, a row error."""
+    from hatescan.corpus import load_examples
+
+    row = {"text": "a post", "label": "hate", "origin": "s"}
+    if value is not None:
+        row["augmented"] = value
+    rows = [row] + [{"text": "filler", "label": "hate", "origin": "s"}] * 9
+    path = tmp_path / f"rows{suffix}"
+    if suffix == ".csv":
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerows(rows)
+        first_row = 2
+    else:
+        _write_jsonl(path, rows)
+        first_row = 1
+    back = load_examples(str(path))
+    if want is None:
+        assert len(back) == 9
+        assert back.errors == [RowError(first_row, f"augmented is not true or false: {value!r}")]
+    else:
+        assert back.errors == [] and back[0].augmented is want
+        assert not any(e.augmented for e in back[1:])
+
+
 # ------------------------------------------------------ shared row policy
 
 # Every loader: a good JSON-lines record, and a good CSV row where the record

@@ -1,8 +1,11 @@
 """Tests for featurization, weighted loss, training and persistence."""
 
 import hashlib
+import json
 import math
 import os
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hatescan.model import (
     Hyperparams,
     TrainedClassifier,
     _EarlyStopTracker,
+    _Memo,
     _epoch_pass,
     class_weights,
     featurize,
@@ -279,6 +283,47 @@ def test_predict_batch_asks_other_backends_text_by_text() -> None:
     predict_batch(backend, BATCH_TEXTS)
     assert backend.texts == BATCH_TEXTS
     assert predict_batch(backend, []) == []
+
+
+def _random_classes(k: int, fc: FeatureConfig, seed: int = 0) -> TrainedClassifier:
+    rng = np.random.default_rng(seed)
+    return TrainedClassifier(weights=rng.normal(size=(k, fc.hash_dim)),
+                             bias=rng.normal(size=k),
+                             class_list=tuple(f"c{i}" for i in range(k)),
+                             feature_config=fc)
+
+
+def test_predict_batch_shares_a_memo_between_models_of_one_config(monkeypatch) -> None:
+    two = train(make_separable(20), [], Hyperparams(max_epochs=3, seed=0), SMALL_FC)
+    five = _random_classes(5, SMALL_FC)
+    texts = [e.text for e in make_separable(5, seed=1)] + BATCH_TEXTS
+    topical = [text + " topic words appended" for text in texts]
+    alone = [predict_batch(two, texts), predict_batch(five, topical)]
+    memo = _Memo()
+    shared = [predict_batch(two, texts, memo)]
+    calls = _count_blake2b(monkeypatch)
+    shared.append(predict_batch(five, topical, memo))
+    # only the n-grams the appended words bring are new to the memo
+    new = {g for t in topical for g in reference_grams(t, SMALL_FC)}
+    new -= {g for t in texts for g in reference_grams(t, SMALL_FC)}
+    assert sorted(calls) == sorted(g.encode("utf-8") for g in new)
+    for got, want in zip(shared, alone):
+        assert [label for label, _ in got] == [label for label, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+@pytest.mark.parametrize("other", [FeatureConfig(hash_dim=2**10, hash_seed=1),
+                                   FeatureConfig(hash_dim=2**10, char_ngrams=(2, 3))])
+def test_predict_batch_never_reuses_a_memo_of_another_config(other) -> None:
+    first, second = _random_classes(3, SMALL_FC), _random_classes(3, other, seed=1)
+    texts = [e.text for e in make_separable(5, seed=1)] + BATCH_TEXTS
+    memo = _Memo()
+    predict_batch(first, texts, memo)
+    for model in (second, first):
+        got = predict_batch(model, texts, memo)
+        want = predict_batch(model, texts)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
 
 
 def test_feature_config_validation() -> None:
@@ -750,6 +795,66 @@ def test_load_rejects_a_zero_ngram_size(tmp_path) -> None:
     path.write_bytes(blob.replace(b'"char_ngrams":[3,', b'"char_ngrams":[0,'))
     with pytest.raises(ModelError, match="corrupt header"):
         load(path)
+
+
+def test_save_writes_the_little_endian_payload_and_its_crc(tmp_path) -> None:
+    model = _random_model()
+    # a Fortran-ordered matrix is saved in row-major order all the same
+    model.weights = np.asfortranarray(model.weights)
+    path = tmp_path / "m.bin"
+    save(model, path)
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[8:12], "little")
+    payload = model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
+    assert blob[12 + header_len :] == payload
+    assert json.loads(blob[12 : 12 + header_len])["payload_crc32"] == zlib.crc32(payload)
+
+
+def test_save_makes_no_copy_of_the_weights(tmp_path) -> None:
+    model = _random_classes(5, FeatureConfig())  # a 10 MB target model
+    tracemalloc.start()
+    try:
+        save(model, tmp_path / "m.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.weights.nbytes // 10
+
+
+def test_load_reads_the_payload_into_writeable_weight_arrays(tmp_path) -> None:
+    path = tmp_path / "m.bin"
+    model = _random_classes(5, FeatureConfig())  # a 10 MB target model
+    save(model, path)
+    payload = model.weights.nbytes + model.bias.nbytes
+    del model
+    tracemalloc.start()
+    try:
+        back = load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * payload
+    for values in (back.weights, back.bias):
+        assert values.dtype == np.float64
+        assert values.flags.writeable and values.flags.c_contiguous
+    back.weights[0, 0] += 1.0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: blob[:-1], "weight payload is {short} bytes, expected {full}"),
+    (lambda blob: blob + b"\x00", "weight payload is {long} bytes, expected {full}"),
+    (lambda blob: blob[:8] + (len(blob)).to_bytes(4, "little") + blob[12:],
+     "truncated header"),
+])
+def test_load_names_a_payload_or_header_of_the_wrong_length(tmp_path, edit, message) -> None:
+    path = tmp_path / "m.bin"
+    save(_random_model(), path)
+    full = (2 * SMALL_FC.hash_dim + 2) * 8
+    path.write_bytes(edit(path.read_bytes()))
+    want = message.format(short=full - 1, long=full + 1, full=full)
+    with pytest.raises(ModelError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {want}"
 
 
 def test_load_missing_file(tmp_path) -> None:
