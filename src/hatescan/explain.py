@@ -157,7 +157,13 @@ def lime_explain(model, text: str, cls: str,
 
 
 def render_html(explanation: Explanation) -> str:
-    """Static fragment with tokens colored by contribution sign."""
+    """Static fragment with tokens colored by contribution sign.
+
+    Tokens and the class name are HTML-escaped, so placeholders such as
+    ``<USER>`` and any markup in a post show as text.
+    """
+    import html  # about 3 ms to import, so only a caller that renders pays it
+
     rows = []
     peak = max((abs(w) for _, w in explanation.token_weights), default=0.0)
     for token, weight in explanation.token_weights:
@@ -166,10 +172,10 @@ def render_html(explanation: Explanation) -> str:
         rows.append(
             f'<span style="background: rgba({hue}, {alpha:.2f}); '
             f'padding: 0 4px; margin: 2px; display: inline-block;">'
-            f"{token} ({weight:+.4f})</span>"
+            f"{html.escape(token)} ({weight:+.4f})</span>"
         )
     return (
-        f'<div class="explanation" data-class="{explanation.target_class}">'
+        f'<div class="explanation" data-class="{html.escape(explanation.target_class)}">'
         + "".join(rows)
         + f'<span style="margin-left: 8px; color: #666;">intercept '
         f"{explanation.intercept:+.4f}</span></div>"

@@ -8,12 +8,15 @@ attached without touching the rest of the pipeline.
 
 Callers that hold a list of texts (training, evaluation, explanations, the
 scan) go through ``featurize_batch`` and ``predict_batch``. They return
-exactly what ``featurize`` and ``predict`` return per text. Within one call,
-each word segment, each segment end with its few neighbouring characters and
-each run of words is turned into bucket ids once, and each distinct n-gram
-is hashed once; the four memo tables share one size cap. The scan passes
-one memo through both stages of a batch, and ``predict_batch`` reuses it
-only for a model of the feature config it was filled under.
+exactly what ``featurize`` and ``predict`` return per text. They featurize
+a pass of whole texts at a time: the pass's characters are read once as code
+points, each family of character n-grams is deduplicated in numpy, and only
+its distinct n-grams are built as strings and looked up in a capped memo
+from n-gram to bucket, which hashes each one it lacks. Word n-grams are
+looked up one by one, and the pass counts every text's buckets with one
+``np.unique``. The scan passes one memo through both stages of a batch, and
+``predict_batch`` reuses it only for a model of the feature config it was
+filled under.
 
 ``save`` writes the weights from their own buffer and ``load`` reads them
 into the array the model holds, so neither copies a model's weights.
@@ -31,10 +34,8 @@ import hashlib
 import json
 import os
 import random
-import re
 import struct
 import zlib
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,20 +61,19 @@ __all__ = [
 _MAGIC = b"HSCM"
 _VERSION = 1
 
-# the four memo tables of one memo (character n-gram, word run, segment and
-# segment end) share this cap: a text that finds them holding this many
-# entries between them clears them first, so they never hold more than the
-# cap plus one text's keys. The segment table is kept while it holds under
-# half the cap: segments are few and the most reused. With one memo per scan
-# batch, the bench's long runs (2-CPU box, ten each) peaked at 136.1-137.7 MB
-# RSS at 2^13 and at 137.1-139.3 MB at 2^14, against a median of 136.2-136.5
-# MB before the memo was shared. 2^14 hashed about a quarter fewer n-grams
-# per scan, but one of its runs peaked 2.2% over that median. One
-# explanation of a 13-18 token post needs about 300-400 entries.
+# a memo holds at most this many n-grams: an n-gram that finds it full
+# clears it first. One memo serves both stages of a scan batch, so the
+# target stage looks up, rather than hashes, the n-grams of the flagged
+# texts that are still in it. At 2^14 the bench's long scan hashed 42% fewer
+# n-grams, but in 1-second bench runs (six seeds, 2-CPU box) its peak RSS
+# rose 0.65% in the median and 1.3% at most, against 0.26% and 0.56% at 2^13.
 _MEMO_LIMIT = 1 << 13
-# a word plus the whitespace after it; the first segment also takes any
-# leading whitespace, and a text of whitespace only is one segment
-_SEGMENT = re.compile(r"\s*\S+\s*|\s+")
+# a featurizing pass takes whole texts up to this many characters, counting
+# one more per text; a longer text is a pass of its own. A pass holds about
+# 100 bytes of numpy arrays per character. In the same runs 2^12 kept the
+# median peak RSS within 0.35% of featurizing text by text on both
+# workloads, while 2^13 put two of six short runs 2.7% and 2.9% over.
+_PASS_CHARS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -154,120 +154,194 @@ class TrainedClassifier:
 
 
 class _Memo:
-    """The n-gram memo tables of one featurizing pass, for one feature config.
+    """The n-gram memo of a run of featurizing passes, for one feature config.
 
-    A memo made without a config takes the config of the first model that
-    scores through it. ``predict_batch`` reuses a memo only for a model of
-    the same config, since bucket ids depend on the hash dimension, the seed
-    and the n-gram sizes.
+    ``grams`` maps a prefixed n-gram to its bucket id. A memo made without a
+    config takes the config of the first model that scores through it.
+    ``predict_batch`` reuses a memo only for a model of the same config,
+    since bucket ids depend on the hash dimension, the seed and the n-gram
+    sizes.
     """
 
-    __slots__ = ("config", "grams", "runs", "inside", "across")
+    __slots__ = ("config", "grams")
 
     def __init__(self, config: FeatureConfig | None = None):
         self.config = config
         self.grams: dict[str, int] = {}
-        self.runs: dict[tuple, bytes] = {}
-        self.inside: dict[str, bytes] = {}
-        self.across: dict[tuple, bytes] = {}
+
+
+def _passes(texts):
+    """Lists of consecutive whole texts of at most ``_PASS_CHARS``
+    characters, counting one more per text; a longer text goes alone."""
+    group, size = [], 0
+    for text in texts:
+        if group and size + len(text) + 1 > _PASS_CHARS:
+            yield group
+            group, size = [], 0
+        group.append(text)
+        size += len(text) + 1
+    if group:
+        yield group
 
 
 def _featurize_each(texts, memo: _Memo):
     """Yield the ``featurize`` vector of each text in turn, under
     ``memo.config``.
 
-    A text is cut into segments, a word plus the whitespace after it (the
-    first segment also takes any leading whitespace). A character n-gram
-    either lies inside one segment, so it depends only on that segment, or
-    starts in the last ``max(char_ngrams) - 1`` characters of a segment and
-    crosses its end, so it depends only on where that end falls in the
-    characters from the n-gram's earliest start to ``max(char_ngrams) - 1``
-    past the end. Masked copies of a post, and posts drawn from one
-    vocabulary, repeat both kinds of key, so each maps to its bucket ids in
-    a memo, over one memo from each character n-gram string to its bucket.
-    A run of words is one word n-gram, so it maps straight to its bucket.
-    Each distinct n-gram is thus hashed once. The memos hold bucket ids
-    packed as native int64 bytes, so a text's ids are one ``b"".join`` away
-    from an array. A text's bucket counts are small integers, so counting
-    them with ``np.unique`` gives the same floats as adding ones.
+    The texts are featurized a pass at a time (see ``_passes``), so the
+    memory a call holds does not grow with the number of texts. A pass
+    hashes only the n-grams ``memo.grams`` lacks: word n-grams are looked up
+    one occurrence at a time, and each character family is deduplicated in
+    numpy first, so only its distinct n-grams are built as strings and
+    looked up (see ``_pass_keys``). The pass then counts the buckets of all
+    its texts with one ``np.unique`` over ``text * hash_dim + bucket``. A
+    text's bucket counts are small integers, so counting them gives the same
+    floats as adding ones, and each text's counts are normalized as a fresh
+    array, as ``featurize`` always did.
     """
     config = memo.config
-    mask = config.hash_dim - 1
+    dim = config.hash_dim
+    mask = dim - 1
     salt = config.hash_seed.to_bytes(8, "little", signed=False)
-    word_families = [(n, f"w{n}\x00") for n in config.word_ngrams]
-    char_families = [(n, f"c{n}\x00") for n in config.char_ngrams]
-    reach = max(config.char_ngrams, default=1) - 1
-    grams, runs, inside, across = memo.grams, memo.runs, memo.inside, memo.across
-    tables = (grams, runs, inside, across)
+    grams = memo.grams
 
     def bucket(gram: str) -> int:
+        if len(grams) >= _MEMO_LIMIT:
+            grams.clear()
         digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, salt=salt).digest()
-        return int.from_bytes(digest, "little") & mask
+        got = grams[gram] = int.from_bytes(digest, "little") & mask
+        return got
 
-    def packed(keys: list) -> bytes:
-        got = [grams.get(key) for key in keys]
-        if None in got:
-            for key in keys:
-                if key not in grams:
-                    grams[key] = bucket(key)
-            got = [grams[key] for key in keys]
-        return array("q", got).tobytes()
+    for group in _passes(texts):
+        keys, counts = np.unique(_pass_keys(group, config, grams.get, bucket),
+                                 return_counts=True)
+        bounds = np.searchsorted(keys, np.arange(len(group) + 1, dtype=np.int64) * dim)
+        keys &= mask
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if start == stop:
+                yield SparseVector(np.empty(0, dtype=np.int64), np.empty(0), dim)
+                continue
+            values = counts[start:stop].astype(np.float64)
+            values /= np.linalg.norm(values)
+            yield SparseVector(keys[start:stop], values, dim)
+        del keys, counts
 
-    for text in texts:
-        if sum(map(len, tables)) >= _MEMO_LIMIT:
-            for table in (grams, runs, across) if 2 * len(inside) < _MEMO_LIMIT else tables:
-                table.clear()
-        pieces = []
-        words = text.split()
-        for n, prefix in word_families:
-            for run in zip(*[words[k:] for k in range(n)]):
-                got = runs.get(run)
-                if got is None:
-                    got = runs[run] = array("q", [bucket(prefix + " ".join(run))]).tobytes()
-                pieces.append(got)
-        if char_families:
-            end = 0
-            for segment in _SEGMENT.findall(text):
-                got = inside.get(segment)
-                if got is None:
-                    got = inside[segment] = packed([
-                        prefix + segment[i : i + n] for n, prefix in char_families
-                        for i in range(len(segment) - n + 1)])
-                pieces.append(got)
-                start, end = end, end + len(segment)
-                if not reach or end == len(text):
-                    continue
-                # n-grams from at most `reach` characters before the segment's
-                # end (never before its start) to at most `reach` past it
-                first = max(start, end - reach)
-                key = (end - first, text[first : end + reach])
-                got = across.get(key)
-                if got is None:
-                    offset, window = key
-                    got = across[key] = packed([
-                        prefix + window[i : i + n] for n, prefix in char_families
-                        for i in range(max(0, offset - n + 1),
-                                       min(offset, len(window) - n + 1))])
-                pieces.append(got)
 
-        ids = np.frombuffer(b"".join(pieces), dtype=np.int64)
-        if not len(ids):
-            yield SparseVector(np.empty(0, dtype=np.int64), np.empty(0), config.hash_dim)
+def _pass_keys(texts, config: FeatureConfig, get, bucket) -> np.ndarray:
+    """``i * hash_dim + bucket`` for every n-gram of every ``texts[i]``.
+
+    ``get`` looks a prefixed n-gram up in the memo and ``bucket`` hashes
+    one it lacks. The texts' characters are ranked by code point, and each
+    window's key grows a character at a time as ``key * alphabet + rank``,
+    so the windows of one size are equal exactly when their keys are. When
+    a key would outgrow 63 bits, or the room ``_distinct`` leaves beside a
+    position, every key is first replaced by its rank among the distinct
+    keys, which keeps them exact for any alphabet and any n-gram size.
+    """
+    dim = config.hash_dim
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    word_ids, per_text = [], []
+    if config.word_ngrams:
+        families = [(n, f"w{n}\x00") for n in config.word_ngrams]
+        for text in texts:
+            words = text.split()
+            before = len(word_ids)
+            for n, prefix in families:
+                for i in range(len(words) - n + 1):
+                    gram = prefix + " ".join(words[i : i + n])
+                    got = get(gram)
+                    word_ids.append(bucket(gram) if got is None else got)
+            per_text.append(len(word_ids) - before)
+    keys = np.empty(len(word_ids) + sum(int(np.maximum(lengths - n + 1, 0).sum())
+                                        for n in config.char_ngrams), dtype=np.int64)
+    filled = len(word_ids)
+    if word_ids:
+        words = keys[:filled]
+        words[:] = np.repeat(np.arange(len(texts)), per_text)
+        words *= dim
+        words += np.array(word_ids, dtype=np.int64)
+    if filled == len(keys):
+        return keys
+
+    joined = "".join(texts)
+    codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    total = len(codes)
+    bits = total.bit_length()  # enough for any position in the pass
+    alphabet, ranks = _distinct(codes.astype(np.int64), bits)
+    width = len(alphabet)
+    ranks = ranks.astype(np.int32)  # code points, and so ranks, lie below 2^21
+    del alphabet, codes
+    # a pass counts each text as at least one character, so text ids fit
+    # in int32
+    text_of = np.repeat(np.arange(len(texts), dtype=np.int32), lengths)
+    key, span = ranks.astype(np.int64), width  # every key lies in [0, span)
+    for n in range(1, max(config.char_ngrams) + 1):
+        if n > 1:
+            if span * width > 1 << 63:
+                distinct, key = np.unique(key, return_inverse=True)
+                span = len(distinct)
+            grown = key[: max(total - n + 1, 0)]
+            grown *= width
+            grown += ranks[n - 1 :]
+            span *= width
+        times = config.char_ngrams.count(n)
+        if not times:
             continue
-        indices, counts = np.unique(ids, return_counts=True)
-        values = counts.astype(np.float64)
-        values /= np.linalg.norm(values)
-        yield SparseVector(indices, values, config.hash_dim)
+        if span > 1 << (63 - bits):
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        # the windows that end in the text they start in
+        at = np.flatnonzero(text_of[: max(total - n + 1, 0)] == text_of[n - 1 :])
+        rows, inverse = _distinct(key[at], bits)
+        prefix = f"c{n}\x00"
+        ids = []
+        for i in at[rows].tolist():
+            gram = prefix + joined[i : i + n]
+            got = get(gram)
+            ids.append(bucket(gram) if got is None else got)
+        family = keys[filled : filled + len(at)]
+        family[:] = text_of[at]
+        family *= dim
+        family += np.array(ids, dtype=np.int64)[inverse]
+        filled += len(at)
+        del at, rows, inverse
+        for _ in range(1, times):  # a size listed twice counts twice
+            keys[filled : filled + len(family)] = family
+            filled += len(family)
+    return keys
+
+
+def _distinct(values: np.ndarray, bits: int):
+    """(rows, inverse): the first index of each distinct value of
+    ``values``, in value order, and the rank of each value among them.
+
+    ``values`` must lie in ``[0, 2**(63 - bits))`` and number at most
+    ``2**bits``. Each is shifted up with its index in the low ``bits`` and
+    sorted in place, which finds both in one sort. ``np.unique``'s
+    ``return_index``/``return_inverse`` would add a stable argsort, which
+    was slower and held the bench's peak RSS about 0.7 MB higher.
+    """
+    packed = values << bits
+    packed |= np.arange(len(values))
+    packed.sort()
+    at = packed & ((1 << bits) - 1)
+    packed >>= bits
+    new = np.empty(len(packed), dtype=bool)
+    new[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    del packed
+    inverse = np.empty(len(at), dtype=np.int64)
+    inverse[at] = np.cumsum(new) - 1
+    return at[new], inverse
 
 
 def featurize_batch(texts, config: FeatureConfig | None = None) -> list:
     """``featurize`` of every text.
 
-    Within the call, the bucket ids of each word segment, segment end and
-    run of words are computed once, and each distinct n-gram is hashed once.
-    The memo tables behind that are cleared before a text that finds them
-    holding ``_MEMO_LIMIT`` entries between them (the segment table only
-    once it holds half of them), which bounds memory and changes no vector.
+    The texts are featurized a pass of whole texts at a time, and an
+    n-gram is hashed only when the memo lacks it. The memo, of at most
+    ``_MEMO_LIMIT`` entries, carries bucket ids from one pass to the next;
+    it is cleared when full, which bounds memory and changes no vector.
     """
     return list(_featurize_each(texts, _Memo(config or FeatureConfig())))
 
@@ -547,12 +621,13 @@ def predict(model: TrainedClassifier, text: str):
 def predict_batch(model, texts, memo: _Memo | None = None) -> list:
     """``predict`` of every text, as a list of (label, probs).
 
-    The bundled classifier featurizes the texts in one memoized pass; any
-    other model (the external backend contract: ``class_list`` plus
-    ``predict(text)``) is asked text by text. A ``memo`` shared between
-    calls carries the bucket ids one pass worked out into the next; it is
-    used only while its config matches the model's, and a fresh memo
-    otherwise, so sharing one never changes a result.
+    The bundled classifier featurizes the texts a pass at a time through
+    one n-gram memo (see ``_featurize_each``); any other model (the
+    external backend contract: ``class_list`` plus ``predict(text)``) is
+    asked text by text. A ``memo`` shared between calls carries the bucket
+    ids one call worked out into the next; it is used only while its config
+    matches the model's, and a fresh memo otherwise, so sharing one never
+    changes a result.
     """
     if not isinstance(model, TrainedClassifier):
         return [model.predict(text) for text in texts]

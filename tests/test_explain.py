@@ -289,3 +289,11 @@ def test_render_html_marks_signs_and_class():
 def test_render_html_handles_empty_weights():
     html = render_html(Explanation("hate", (), 0.1))
     assert "intercept" in html
+
+
+def test_render_html_escapes_tokens_and_class():
+    html = render_html(Explanation('Jews"', (("<USER>", 0.5), ("<script>", -0.2)), 0.1))
+    assert 'data-class="Jews&quot;"' in html
+    assert "&lt;USER&gt; (+0.5000)" in html
+    assert "&lt;script&gt; (-0.2000)" in html
+    assert "<USER>" not in html and "<script>" not in html

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import tracemalloc
 import zlib
 
@@ -262,6 +263,70 @@ def test_featurize_batch_matches_reference_across_memo_clears(monkeypatch) -> No
     monkeypatch.setattr(hatescan.model, "_MEMO_LIMIT", 64)
     texts = explanation_masks()
     assert_same_vectors(featurize_batch(texts, SMALL_FC), texts, SMALL_FC)
+
+
+@pytest.mark.parametrize("fc", [
+    FeatureConfig(hash_dim=2**10, word_ngrams=(1, 2, 3), char_ngrams=(2, 6), hash_seed=5),
+    FeatureConfig(),
+])
+def test_featurize_batch_re_ranks_keys_that_would_overflow(fc) -> None:
+    # one text longer than a pass, of under 2^14 characters: the space and
+    # 2^13 - 1 consecutive CJK code points, so each character's rank is its
+    # offset plus one. Without re-ranking, a 6-gram's first rank would be
+    # multiplied by 2^65, and a 4-gram's by 2^53 once shifted past its
+    # position, so both would wrap away, and the n-grams of the words below,
+    # whose first ranks differ by multiples of 2^11, would share keys.
+    cjk = [chr(0x4E00 + i) for i in range(2**13 - 1)]
+    tail = "".join(cjk[5000:5005])
+    rest = cjk[:]
+    random.Random(0).shuffle(rest)
+    words = ([cjk[i] + tail for i in range(7, len(cjk), 2**11)]
+             + ["".join(rest[i : i + 7]) for i in range(0, len(rest), 7)])
+    text = " ".join(words)
+    texts = ["short text", text, "", " ".join(words[:30])]
+    assert len(set(text)) == 2**13 and hatescan.model._PASS_CHARS < len(text) < 2**14
+    assert_same_vectors(featurize_batch(texts, fc), texts, fc)
+
+
+@pytest.mark.parametrize("fc", FEATURE_CONFIGS)
+def test_featurize_batch_matches_reference_on_a_text_longer_than_a_pass(fc) -> None:
+    masks = explanation_masks()
+    text = " \n".join(masks[:500])
+    assert len(text) > 3 * hatescan.model._PASS_CHARS
+    texts = [masks[0], text, "", masks[1], text[:200]]
+    assert_same_vectors(featurize_batch(texts, fc), texts, fc)
+
+
+@pytest.mark.parametrize("fc", FEATURE_CONFIGS)
+def test_featurize_batch_across_many_passes_hashes_each_ngram_once(monkeypatch, fc) -> None:
+    monkeypatch.setattr(hatescan.model, "_PASS_CHARS", 64)
+    texts = BATCH_TEXTS + explanation_masks()[:200]
+    calls = _count_blake2b(monkeypatch)
+    got = featurize_batch(texts, fc)
+    # the memo carries each n-gram's bucket from one pass to the next
+    distinct = {g.encode("utf-8") for t in texts for g in reference_grams(t, fc)}
+    assert sorted(calls) == sorted(distinct)
+    assert_same_vectors(got, texts, fc)
+
+
+def test_featurizing_holds_memory_bounded_whatever_the_text_count() -> None:
+    def generated(count):
+        rng = random.Random(0)
+        for _ in range(count):
+            yield " ".join("".join(rng.choices("abcdefghij", k=3)) for _ in range(4))
+
+    peaks = []
+    for count in (2000, 8000):
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for _ in hatescan.model._featurize_each(generated(count), _Memo(SMALL_FC)):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - start)
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def test_predict_batch_matches_predict() -> None:
