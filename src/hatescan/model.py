@@ -11,10 +11,10 @@ scan) go through ``featurize_batch`` and ``predict_batch``. They return
 exactly what ``featurize`` and ``predict`` return per text. They featurize
 a pass of whole texts at a time: the pass's characters are read once as code
 points, each family of character n-grams is deduplicated in numpy, and only
-its distinct n-grams are built as strings and looked up in a capped memo
-from n-gram to bucket, which hashes each one it lacks. Word n-grams are
-looked up one by one, and the pass counts every text's buckets with one
-``np.unique``. The scan passes one memo through both stages of a batch, and
+its distinct n-grams are built as strings. Those and the word n-grams are
+looked up together in a capped memo from n-gram to bucket, the ones it
+lacks are hashed in one step, and the pass counts every text's buckets with
+one ``np.unique``. The scan passes one memo through both stages of a batch, and
 ``predict_batch`` reuses it only for a model of the feature config it was
 filled under.
 
@@ -37,6 +37,7 @@ import random
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -61,12 +62,13 @@ __all__ = [
 _MAGIC = b"HSCM"
 _VERSION = 1
 
-# a memo holds at most this many n-grams: an n-gram that finds it full
-# clears it first. One memo serves both stages of a scan batch, so the
-# target stage looks up, rather than hashes, the n-grams of the flagged
-# texts that are still in it. At 2^14 the bench's long scan hashed 42% fewer
-# n-grams, but in 1-second bench runs (six seeds, 2-CPU box) its peak RSS
-# rose 0.65% in the median and 1.3% at most, against 0.26% and 0.56% at 2^13.
+# a memo holds at most this many n-grams: the new n-grams of a pass that
+# would not fit clear it first. One memo serves both stages of a scan
+# batch, so the target stage looks up, rather than hashes, the n-grams of
+# the flagged texts that are still in it. At 2^14 the bench's long scan
+# hashed 42% fewer n-grams, but in 1-second bench runs (six seeds, 2-CPU
+# box) its peak RSS rose 0.65% in the median and 1.3% at most, against
+# 0.26% and 0.56% at 2^13.
 _MEMO_LIMIT = 1 << 13
 # a featurizing pass takes whole texts up to this many characters, counting
 # one more per text; a longer text is a pass of its own. A pass holds about
@@ -190,33 +192,21 @@ def _featurize_each(texts, memo: _Memo):
 
     The texts are featurized a pass at a time (see ``_passes``), so the
     memory a call holds does not grow with the number of texts. A pass
-    hashes only the n-grams ``memo.grams`` lacks: word n-grams are looked up
-    one occurrence at a time, and each character family is deduplicated in
-    numpy first, so only its distinct n-grams are built as strings and
-    looked up (see ``_pass_keys``). The pass then counts the buckets of all
-    its texts with one ``np.unique`` over ``text * hash_dim + bucket``. A
-    text's bucket counts are small integers, so counting them gives the same
-    floats as adding ones, and each text's counts are normalized as a fresh
-    array, as ``featurize`` always did.
+    hashes only the n-grams ``memo.grams`` lacks: each character family is
+    deduplicated in numpy first, so only its distinct n-grams are built as
+    strings, and each family's n-grams are looked up together, with the
+    misses hashed in one step (see ``_pass_keys`` and ``_hash_new``). The
+    pass then counts the buckets of all its texts with one ``np.unique``
+    over ``text * hash_dim + bucket``. A text's bucket counts are small
+    integers, so counting them gives the same floats as adding ones, and
+    each text's counts are normalized as a fresh array, as ``featurize``
+    always did.
     """
-    config = memo.config
-    dim = config.hash_dim
-    mask = dim - 1
-    salt = config.hash_seed.to_bytes(8, "little", signed=False)
-    grams = memo.grams
-
-    def bucket(gram: str) -> int:
-        if len(grams) >= _MEMO_LIMIT:
-            grams.clear()
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, salt=salt).digest()
-        got = grams[gram] = int.from_bytes(digest, "little") & mask
-        return got
-
+    dim = memo.config.hash_dim
     for group in _passes(texts):
-        keys, counts = np.unique(_pass_keys(group, config, grams.get, bucket),
-                                 return_counts=True)
+        keys, counts = np.unique(_pass_keys(group, memo), return_counts=True)
         bounds = np.searchsorted(keys, np.arange(len(group) + 1, dtype=np.int64) * dim)
-        keys &= mask
+        keys &= dim - 1
         for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             if start == stop:
                 yield SparseVector(np.empty(0, dtype=np.int64), np.empty(0), dim)
@@ -227,39 +217,66 @@ def _featurize_each(texts, memo: _Memo):
         del keys, counts
 
 
-def _pass_keys(texts, config: FeatureConfig, get, bucket) -> np.ndarray:
+def _hash_new(names: list, memo: _Memo) -> list:
+    """The bucket ids of ``names``, distinct n-grams ``memo.grams`` lacks,
+    hashed in one step and added to the memo.
+
+    The 8-byte ``blake2b`` digests are joined and read as one array of
+    little-endian integers and masked to ``hash_dim``, which gives each the
+    bucket ``int.from_bytes`` would. The memo is cleared first if the new
+    n-grams would not fit, and keeps at most ``_MEMO_LIMIT`` of them.
+    """
+    salt = memo.config.hash_seed.to_bytes(8, "little", signed=False)
+    digests = b"".join([hashlib.blake2b(name.encode("utf-8"), digest_size=8, salt=salt).digest()
+                        for name in names])
+    buckets = (np.frombuffer(digests, "<u8") & (memo.config.hash_dim - 1)).tolist()
+    grams = memo.grams
+    if len(grams) + len(names) > _MEMO_LIMIT:
+        grams.clear()
+    grams.update(zip(names[:_MEMO_LIMIT], buckets[:_MEMO_LIMIT]))
+    return buckets
+
+
+def _pass_keys(texts, memo: _Memo) -> np.ndarray:
     """``i * hash_dim + bucket`` for every n-gram of every ``texts[i]``.
 
-    ``get`` looks a prefixed n-gram up in the memo and ``bucket`` hashes
-    one it lacks. The texts' characters are ranked by code point, and each
-    window's key grows a character at a time as ``key * alphabet + rank``,
-    so the windows of one size are equal exactly when their keys are. When
-    a key would outgrow 63 bits, or the room ``_distinct`` leaves beside a
+    The pass's word n-grams are looked up together, and so are the
+    distinct n-grams of each character family; the ones the memo lacks
+    are hashed in one step per family (``_hash_new``). The
+    texts' characters are ranked by code point, and each window's key
+    grows a character at a time as ``key * alphabet + rank``, so the
+    windows of one size are equal exactly when their keys are. When a key
+    would outgrow 63 bits, or the room ``_distinct`` leaves beside a
     position, every key is first replaced by its rank among the distinct
     keys, which keeps them exact for any alphabet and any n-gram size.
     """
+    config = memo.config
     dim = config.hash_dim
+    get = memo.grams.get
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    word_ids, per_text = [], []
+    names, per_text = [], []
     if config.word_ngrams:
         families = [(n, f"w{n}\x00") for n in config.word_ngrams]
         for text in texts:
             words = text.split()
-            before = len(word_ids)
+            before = len(names)
             for n, prefix in families:
                 for i in range(len(words) - n + 1):
-                    gram = prefix + " ".join(words[i : i + n])
-                    got = get(gram)
-                    word_ids.append(bucket(gram) if got is None else got)
-            per_text.append(len(word_ids) - before)
-    keys = np.empty(len(word_ids) + sum(int(np.maximum(lengths - n + 1, 0).sum())
-                                        for n in config.char_ngrams), dtype=np.int64)
-    filled = len(word_ids)
-    if word_ids:
+                    names.append(prefix + " ".join(words[i : i + n]))
+            per_text.append(len(names) - before)
+    keys = np.empty(len(names) + sum(int(np.maximum(lengths - n + 1, 0).sum())
+                                     for n in config.char_ngrams), dtype=np.int64)
+    filled = len(names)
+    if names:
         words = keys[:filled]
-        words[:] = np.repeat(np.arange(len(texts)), per_text)
-        words *= dim
-        words += np.array(word_ids, dtype=np.int64)
+        words[:] = np.fromiter(map(get, names, repeat(-1)), dtype=np.int64, count=filled)
+        miss = words < 0
+        if miss.any():  # a word n-gram can recur within a pass
+            new = list(dict.fromkeys(compress(names, miss.tolist())))
+            found = dict(zip(new, _hash_new(new, memo)))
+            words[miss] = [found[name] for name in compress(names, miss.tolist())]
+        words += np.repeat(np.arange(len(texts)) * dim, per_text)
+    del names
     if filled == len(keys):
         return keys
 
@@ -294,17 +311,17 @@ def _pass_keys(texts, config: FeatureConfig, get, bucket) -> np.ndarray:
         at = np.flatnonzero(text_of[: max(total - n + 1, 0)] == text_of[n - 1 :])
         rows, inverse = _distinct(key[at], bits)
         prefix = f"c{n}\x00"
-        ids = []
-        for i in at[rows].tolist():
-            gram = prefix + joined[i : i + n]
-            got = get(gram)
-            ids.append(bucket(gram) if got is None else got)
+        names = [prefix + joined[i : i + n] for i in at[rows].tolist()]
+        ids = np.fromiter(map(get, names, repeat(-1)), dtype=np.int64, count=len(names))
+        miss = ids < 0
+        if miss.any():
+            ids[miss] = _hash_new(list(compress(names, miss.tolist())), memo)
         family = keys[filled : filled + len(at)]
         family[:] = text_of[at]
         family *= dim
-        family += np.array(ids, dtype=np.int64)[inverse]
+        family += ids[inverse]
         filled += len(at)
-        del at, rows, inverse
+        del at, rows, inverse, names, ids, miss
         for _ in range(1, times):  # a size listed twice counts twice
             keys[filled : filled + len(family)] = family
             filled += len(family)
@@ -341,7 +358,8 @@ def featurize_batch(texts, config: FeatureConfig | None = None) -> list:
     The texts are featurized a pass of whole texts at a time, and an
     n-gram is hashed only when the memo lacks it. The memo, of at most
     ``_MEMO_LIMIT`` entries, carries bucket ids from one pass to the next;
-    it is cleared when full, which bounds memory and changes no vector.
+    it is cleared when a pass's new n-grams would not fit, which bounds
+    memory and changes no vector.
     """
     return list(_featurize_each(texts, _Memo(config or FeatureConfig())))
 
@@ -554,8 +572,15 @@ def train(
     # train on the touched columns only; searchsorted maps each index to its
     # position in cols and keeps every vector's indices sorted and unique, so
     # each gather and matmul sees the same values in the same order as on
-    # full-width weights
-    cols = np.unique(np.concatenate([vec.indices for vec in feats]))
+    # full-width weights. An in-place sort and a first-of-run mask find the
+    # columns; numpy 2's np.unique hashes them instead, which left more heap
+    # behind
+    cols = np.concatenate([vec.indices for vec in feats])
+    cols.sort()
+    first = np.empty(len(cols), dtype=bool)
+    first[:1] = True
+    np.not_equal(cols[1:], cols[:-1], out=first[1:])
+    cols = cols[first]
     feats = [SparseVector(np.searchsorted(cols, vec.indices), vec.values, len(cols))
              for vec in feats]
     train_feats, val_feats = feats[: len(train_examples)], feats[len(train_examples) :]

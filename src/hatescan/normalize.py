@@ -4,6 +4,12 @@ All functions are pure and byte-stable across runs: the same input and config
 always produce the same output, and ``normalize`` is idempotent. Rules are
 applied in a fixed order so that placeholder tokens inserted by early stages
 survive the later ones.
+
+Every stage is token-local: it maps one whitespace token to zero or more
+tokens and never looks across the whitespace around it. ``NormalizerConfig``
+refuses the tables that would break this (whitespace in a placeholder or an
+emoji key, a whitespace folding key), so ``normalize`` splits a post once
+and runs each token through all the stages in one go.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ __all__ = [
     "normalize",
 ]
 
-_WS_SPLIT_RE = re.compile(r"(\s+)")
+_TOKEN_RE = re.compile(r"\S+")
+_WHITESPACE_RE = re.compile(r"\s")
 _TIME_RE = re.compile(r"(?<=\d)([ap]\.m\.)")
 _URL_PREFIXES = ("http://", "https://", "www.")
 
@@ -128,6 +135,17 @@ class NormalizerConfig:
             raise ValueError("replacement tables must be non-empty")
         if not 0.0 <= self.english_threshold <= 1.0:
             raise ValueError("english_threshold must lie in [0, 1]")
+        # normalize runs each whitespace token through every stage on its
+        # own, which matches running each stage over the whole text only
+        # while no table or placeholder lets a stage join or split tokens
+        if any(_WHITESPACE_RE.search(p) for p in self.placeholders):
+            raise ValueError("placeholders must not contain whitespace")
+        if _WHITESPACE_RE.search("".join(self.emoji_table)):
+            raise ValueError("emoji table keys must not contain whitespace")
+        if _WHITESPACE_RE.search("".join(self.folding_table)):
+            raise ValueError("folding table keys must not be whitespace")
+        if "" in self.contraction_table:
+            raise ValueError("contraction table keys must be non-empty")
 
     @property
     def placeholders(self) -> tuple:
@@ -152,12 +170,21 @@ class _CompiledRules:
     """Derived lookup structures for one config, built once and reused."""
 
     def __init__(self, config: NormalizerConfig):
+        self.user = config.placeholder_user
+        self.url = config.placeholder_url
+        self.hashtag = config.placeholder_hashtag
         self.placeholders = frozenset(config.placeholders)
         self.fold_map = {ord(k): v for k, v in config.folding_table.items()}
+        self.emoji_table = config.emoji_table
         self.emoji_first_chars = frozenset(k[0] for k in config.emoji_table)
         self.emoji_max_len = max(len(k) for k in config.emoji_table)
-        # longest clitic first so "n't" wins over a bare "'t"-style suffix
-        self.clitics = sorted(config.contraction_table.items(), key=lambda kv: -len(kv[0]))
+        # longest clitic first so "n't" wins over a bare "'t"-style suffix.
+        # A stem gets its split form's words each after one space, which is
+        # what collapsing the whitespace of "stem split-form" leaves
+        self.clitics = [(clitic, "".join(" " + word for word in split_form.split()))
+                        for clitic, split_form in sorted(config.contraction_table.items(),
+                                                         key=lambda kv: -len(kv[0]))]
+        self.clitic_ends = tuple(clitic for clitic, _ in self.clitics)
 
 
 _COMPILED: "WeakKeyDictionary[NormalizerConfig, _CompiledRules]" = WeakKeyDictionary()
@@ -194,10 +221,14 @@ def is_english(text: str, config: NormalizerConfig | None = None) -> bool:
     return hits / len(tokens) >= config.english_threshold
 
 
-def _map_tokens(text: str, fn) -> str:
-    # preserves the original whitespace between tokens
-    parts = _WS_SPLIT_RE.split(text)
-    return "".join(p if i % 2 else fn(p) for i, p in enumerate(parts))
+def _entity(token: str, rules: _CompiledRules) -> str:
+    if len(token) > 1 and token[0] == "@":
+        return rules.user
+    if len(token) > 1 and token[0] == "#":
+        return rules.hashtag
+    if token.lower().startswith(_URL_PREFIXES):
+        return rules.url
+    return token
 
 
 def replace_entities(text: str, config: NormalizerConfig | None = None) -> str:
@@ -205,28 +236,11 @@ def replace_entities(text: str, config: NormalizerConfig | None = None) -> str:
 
     A mention is a whitespace token starting with "@", a hashtag one starting
     with "#" (both need at least one following character), and a URL any token
-    with an http(s) scheme or "www." prefix, case-insensitively.
+    with an http(s) scheme or "www." prefix, case-insensitively. The
+    whitespace between tokens is kept as it is.
     """
-    if config is None:
-        config = default_config()
-
-    def sub(token: str) -> str:
-        if len(token) > 1 and token[0] == "@":
-            return config.placeholder_user
-        if len(token) > 1 and token[0] == "#":
-            return config.placeholder_hashtag
-        if token.lower().startswith(_URL_PREFIXES):
-            return config.placeholder_url
-        return token
-
-    return _map_tokens(text, sub)
-
-
-def _lowercase_exempt(text: str, rules: _CompiledRules) -> str:
-    def sub(token: str) -> str:
-        return token if token in rules.placeholders else token.lower()
-
-    return _map_tokens(text, sub)
+    rules = _compiled(config or default_config())
+    return _TOKEN_RE.sub(lambda m: _entity(m.group(), rules), text)
 
 
 def demojize(text: str, config: NormalizerConfig | None = None) -> str:
@@ -235,10 +249,11 @@ def demojize(text: str, config: NormalizerConfig | None = None) -> str:
     Longest sequences match first, replacements are space-separated from
     adjacent non-space text, and unknown emoji pass through unchanged.
     """
-    if config is None:
-        config = default_config()
-    rules = _compiled(config)
-    table = config.emoji_table
+    return _demojize(text, _compiled(config or default_config()))
+
+
+def _demojize(text: str, rules: _CompiledRules) -> str:
+    table = rules.emoji_table
     out: list[str] = []
     pending_space = False
     i = 0
@@ -270,44 +285,57 @@ def demojize(text: str, config: NormalizerConfig | None = None) -> str:
     return "".join(out)
 
 
-def _fold_chars(text: str, rules: _CompiledRules) -> str:
-    return text.translate(rules.fold_map)
-
-
-def _split_contractions(text: str, rules: _CompiledRules) -> str:
-    def sub(token: str) -> str:
-        for clitic, split_form in rules.clitics:
-            if token.endswith(clitic) and len(token) > len(clitic):
-                return token[: -len(clitic)] + " " + split_form
-        return token
-
-    return _map_tokens(text, sub)
-
-
-def _space_times(text: str) -> str:
-    return _TIME_RE.sub(r" \1", text)
+def _normalize_token(token: str, rules: _CompiledRules) -> str:
+    """The normalized form of one whitespace token of a post: its stages
+    in ``normalize``'s order, single-spaced, or "" if nothing is left."""
+    # entity replacement, then lowercasing with placeholders exempt
+    if len(token) > 1 and token[0] == "@":
+        token = rules.user
+    elif len(token) > 1 and token[0] == "#":
+        token = rules.hashtag
+    else:
+        lower = token.lower()
+        if lower.startswith(_URL_PREFIXES):
+            token = rules.url
+        elif token not in rules.placeholders:
+            token = lower
+    if not rules.emoji_first_chars.isdisjoint(token):
+        token = _demojize(token, rules)
+    token = token.translate(rules.fold_map)
+    # emoji names come padded with spaces and table values may hold some,
+    # so the token may now be several. Emoji padding and zero-width deletion
+    # can expose mention/URL tokens that were glued to other characters;
+    # resolve them now or a second run would produce a different string
+    pieces = []
+    for piece in token.split():
+        piece = _entity(piece, rules)
+        if piece.endswith(rules.clitic_ends):
+            for clitic, split_form in rules.clitics:
+                if piece.endswith(clitic) and len(piece) > len(clitic):
+                    piece = piece[: -len(clitic)] + split_form
+                    break
+        if ".m." in piece:
+            piece = _TIME_RE.sub(r" \1", piece)
+        if piece:
+            pieces.append(piece)
+    return " ".join(pieces)
 
 
 def normalize(text: str, config: NormalizerConfig | None = None) -> NormalizedText:
     """Run the full normalization pipeline over one text.
 
     Stages, in order: entity replacement, lowercasing (placeholders exempt),
-    emoji naming, character folding, contraction splitting, time-expression
-    spacing, whitespace collapse. The result is a fixed point: normalizing it
-    again returns it unchanged.
+    emoji naming, character folding, entity replacement again, contraction
+    splitting, time-expression spacing, whitespace collapse. The result is a
+    fixed point: normalizing it again returns it unchanged.
+
+    Every stage maps one whitespace token to zero or more tokens without
+    looking at its neighbours, which ``NormalizerConfig`` guarantees for any
+    tables it accepts. So the text is split once, each token runs through
+    all the stages in one go, and the non-empty results are joined with
+    single spaces. The output is the same as running each stage over the
+    whole text in turn.
     """
-    if config is None:
-        config = default_config()
-    rules = _compiled(config)
-    text = replace_entities(text, config)
-    text = _lowercase_exempt(text, rules)
-    text = demojize(text, config)
-    text = _fold_chars(text, rules)
-    # emoji padding and zero-width deletion can expose mention/URL tokens that
-    # were glued to other characters; resolve them now or a second run would
-    # produce a different string
-    text = replace_entities(text, config)
-    text = _split_contractions(text, rules)
-    text = _space_times(text)
-    text = " ".join(text.split())
-    return NormalizedText(text)
+    rules = _compiled(config or default_config())
+    return NormalizedText(" ".join(filter(None, [_normalize_token(token, rules)
+                                                 for token in text.split()])))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from hatescan.model import (
     class_weights,
     featurize_batch,
 )
+from hatescan.normalize import NormalizedText, NormalizerConfig, default_config
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -49,6 +51,97 @@ def load_golden_pairs(filename: str = "normalize_golden.tsv") -> list[tuple[str,
             raw, want = line.split("\t")
             pairs.append((unescape(raw), unescape(want)))
     return pairs
+
+
+_WS_SPLIT_RE = re.compile(r"(\s+)")
+_TIME_RE = re.compile(r"(?<=\d)([ap]\.m\.)")
+
+
+def _map_tokens(text: str, fn) -> str:
+    # preserves the original whitespace between tokens
+    parts = _WS_SPLIT_RE.split(text)
+    return "".join(p if i % 2 else fn(p) for i, p in enumerate(parts))
+
+
+def _reference_entities(text: str, config: NormalizerConfig) -> str:
+    def sub(token: str) -> str:
+        if len(token) > 1 and token[0] == "@":
+            return config.placeholder_user
+        if len(token) > 1 and token[0] == "#":
+            return config.placeholder_hashtag
+        if token.lower().startswith(("http://", "https://", "www.")):
+            return config.placeholder_url
+        return token
+
+    return _map_tokens(text, sub)
+
+
+def _reference_demojize(text: str, config: NormalizerConfig) -> str:
+    table = config.emoji_table
+    first_chars = frozenset(k[0] for k in table)
+    max_len = max(len(k) for k in table)
+    out: list[str] = []
+    pending_space = False
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in first_chars:
+            for length in range(min(max_len, n - i), 0, -1):
+                name = table.get(text[i : i + length])
+                if name is not None:
+                    if out and not out[-1].isspace():
+                        out.append(" ")
+                    out.append(name)
+                    pending_space = True
+                    i += length
+                    break
+            else:
+                if pending_space and not ch.isspace():
+                    out.append(" ")
+                out.append(ch)
+                pending_space = False
+                i += 1
+        else:
+            if pending_space and not ch.isspace():
+                out.append(" ")
+            out.append(ch)
+            pending_space = False
+            i += 1
+    return "".join(out)
+
+
+def reference_normalize(text: str, config: NormalizerConfig | None = None) -> NormalizedText:
+    """Reference normalizer: the stages of ``normalize`` run one after the
+    other over the whole text, each splitting and rejoining it.
+
+    Entity replacement, lowercasing (placeholders exempt), emoji naming,
+    character folding, entity replacement again, contraction splitting,
+    time-expression spacing, whitespace collapse. ``normalize`` must return
+    the same string for every config it accepts.
+    """
+    if config is None:
+        config = default_config()
+    placeholders = frozenset(config.placeholders)
+    clitics = sorted(config.contraction_table.items(), key=lambda kv: -len(kv[0]))
+
+    def lower(token: str) -> str:
+        return token if token in placeholders else token.lower()
+
+    def split_contraction(token: str) -> str:
+        for clitic, split_form in clitics:
+            if token.endswith(clitic) and len(token) > len(clitic):
+                return token[: -len(clitic)] + " " + split_form
+        return token
+
+    text = _reference_entities(text, config)
+    text = _map_tokens(text, lower)
+    text = _reference_demojize(text, config)
+    text = text.translate({ord(k): v for k, v in config.folding_table.items()})
+    text = _reference_entities(text, config)
+    text = _map_tokens(text, split_contraction)
+    text = _TIME_RE.sub(r" \1", text)
+    return NormalizedText(" ".join(text.split()))
 
 
 class PredictOnly:

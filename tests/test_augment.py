@@ -341,6 +341,9 @@ def http_url():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_http_client_posts_and_reads_json(http_url):

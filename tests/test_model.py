@@ -211,6 +211,8 @@ def test_featurize_batch_hashes_each_distinct_ngram_once(monkeypatch) -> None:
 def test_featurize_batch_crossing_the_memo_cap_changes_nothing(monkeypatch) -> None:
     texts = BATCH_TEXTS * 3
     monkeypatch.setattr(hatescan.model, "_MEMO_LIMIT", 4)
+    # a pass dedupes its own n-grams, so the texts take several passes
+    monkeypatch.setattr(hatescan.model, "_PASS_CHARS", 64)
     calls = _count_blake2b(monkeypatch)
     got = featurize_batch(texts, SMALL_FC)
     distinct = {g for t in texts for g in reference_grams(t, SMALL_FC)}
@@ -307,6 +309,36 @@ def test_featurize_batch_across_many_passes_hashes_each_ngram_once(monkeypatch, 
     distinct = {g.encode("utf-8") for t in texts for g in reference_grams(t, fc)}
     assert sorted(calls) == sorted(distinct)
     assert_same_vectors(got, texts, fc)
+
+
+@pytest.mark.parametrize("fc", [SMALL_FC, FEATURE_CONFIGS[1]])
+def test_memo_never_outgrows_its_cap(monkeypatch, fc) -> None:
+    monkeypatch.setattr(hatescan.model, "_MEMO_LIMIT", 400)
+    monkeypatch.setattr(hatescan.model, "_PASS_CHARS", 64)
+    texts = BATCH_TEXTS + explanation_masks()[:300]
+    memo = _Memo(fc)
+    sizes = []
+    for vec, text in zip(hatescan.model._featurize_each(texts, memo), texts):
+        sizes.append(len(memo.grams))
+        assert sizes[-1] <= 400
+        indices, values = reference_featurize(text, fc)
+        assert np.array_equal(vec.indices, indices) and np.array_equal(vec.values, values)
+    # the memo filled up to near its cap, and was cleared
+    assert max(sizes) > 300 and any(b < a for a, b in zip(sizes, sizes[1:]))
+
+    rng = np.random.default_rng(0)
+    model = TrainedClassifier(weights=rng.normal(size=(3, fc.hash_dim)), bias=rng.normal(size=3),
+                              class_list=("a", "b", "c"), feature_config=fc)
+    memo = _Memo()
+    got = predict_batch(model, texts, memo)
+    assert 0 < len(memo.grams) <= 400
+    for (label, probs), text in zip(got, texts):
+        indices, values = reference_featurize(text, fc)
+        logits = model.weights[:, indices] @ values + model.bias
+        want = np.exp(logits - logits.max())
+        want /= want.sum()
+        assert np.array_equal(probs, want)
+        assert label == model.class_list[int(np.argmax(want))]
 
 
 def test_featurizing_holds_memory_bounded_whatever_the_text_count() -> None:

@@ -14,7 +14,7 @@ from hatescan.normalize import (
     replace_entities,
 )
 
-from helpers import load_golden_pairs
+from helpers import load_golden_pairs, reference_normalize
 
 
 def test_is_english_examples() -> None:
@@ -149,3 +149,69 @@ def test_placeholder_count_matches_mentions(tokens: list) -> None:
     mentions = sum(1 for t in tokens if t.startswith("@") and len(t) > 1)
     out = str(normalize(text))
     assert out.split().count("<USER>") == mentions
+
+
+# a custom-table config whose values make later stages split tokens again:
+# an emoji name and a folding value with spaces (one exposing a mention, one a
+# URL), multi-word and space-padded split forms, and placeholders that a
+# later stage could rewrite
+CUSTOM_CONFIG = NormalizerConfig(
+    placeholder_user="@USER",
+    placeholder_url="<Link>",
+    emoji_table={"\U0001F602": ":lol: @x", "\u2764\ufe0f": ":heart:", "\u2764": "",
+                 "ab": ":AB:", "\U0001F468\u200d\U0001F469": ":couple:"},
+    contraction_table={"n't": " n't  ", "'s": "is", "'ll": "wi ll", "s": "S"},
+    folding_table={"\u2019": "'", "\u2026": " ... ", "~": "www.", "\u200b": "", "q": "Q q"},
+    extra_placeholders=("<Topic>",),
+)
+
+FRAGMENTS = [
+    "@john", "@", "#maga", "#", "http://x.co", "HTTPS://Site.io", "www.Example.COM", "WWW.",
+    "Hello", "WORLD", "DON'T", "don\u2019t", "it's", "We're", "I'LL", "n't", "'s", "cats",
+    "5p.m.", "10a.m.", "p.m.", "5P.M.", "<USER>", "<URL>", "<HASHTAG>", "<Topic>", "@USER",
+    "\U0001F602", "\u2764\ufe0f", "\u2764", "\U0001F468\u200d\U0001F469\u200d\U0001F467",
+    "\U0001F44D\U0001F3FD", "\U0001F3F3\ufe0f\u200d\U0001F308", "#\ufe0f\u20e3",
+    "1\ufe0f\u20e3", "\u2019", "\u201c", "\u2026", "\u2014", "\u200b", "\u200d", "\ufe0f",
+    "\u00ad", "\ufeff", "`", "~", "ab", "q", "\u0130", "\u03a3", "\u0391\u03a3", "stra\u00dfe",
+]
+SEPARATORS = ["", "", " ", "  ", "\t", "\n", "\x1c", "\u00a0", "\u2028", "\u3000", "\u200b"]
+POSTS = st.lists(st.tuples(st.sampled_from(FRAGMENTS), st.sampled_from(SEPARATORS)),
+                 max_size=16).map(lambda pairs: "".join(f + sep for f, sep in pairs))
+
+
+@pytest.mark.parametrize("config", [default_config(), CUSTOM_CONFIG], ids=["default", "custom"])
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(POSTS, st.text()))
+def test_normalize_matches_staged_reference(config, text: str) -> None:
+    assert str(normalize(text, config)) == str(reference_normalize(text, config))
+
+
+def test_custom_config_reaches_every_stage() -> None:
+    text = "Hi\U0001F602you @Jo don\u2019t ~x.org ab q it's 5p.m.\u2026ok cats <Topic>"
+    want = "hi :lol: @USER you @USER do n't <Link> :AB: Q q it is 5 p.m. ... ok cat S <Topic>"
+    assert str(normalize(text, CUSTOM_CONFIG)) == want
+    assert str(reference_normalize(text, CUSTOM_CONFIG)) == want
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"placeholder_user": "<A USER>"},
+    {"extra_placeholders": ("<TOPIC>", "<NEW\u00a0TOPIC>")},
+])
+def test_config_rejects_placeholder_with_whitespace(kwargs) -> None:
+    with pytest.raises(ValueError, match="placeholders"):
+        NormalizerConfig(**kwargs)
+
+
+def test_config_rejects_emoji_key_with_whitespace() -> None:
+    with pytest.raises(ValueError, match="emoji"):
+        NormalizerConfig(emoji_table={"\U0001F602": ":joy:", "\u2764 \u2764": ":hearts:"})
+
+
+def test_config_rejects_whitespace_folding_key() -> None:
+    with pytest.raises(ValueError, match="folding"):
+        NormalizerConfig(folding_table={"\u2019": "'", "\u3000": ""})
+
+
+def test_config_rejects_empty_clitic() -> None:
+    with pytest.raises(ValueError, match="contraction"):
+        NormalizerConfig(contraction_table={"n't": "n't", "": "x"})
