@@ -1,12 +1,13 @@
 """Local explanations for single predictions.
 
 Word-masking perturbations of the input are scored by the model in one
-batch (``model.predict_batch``, so the bundled classifier hashes the n-grams
-the perturbations share only once), and a kernel-weighted ridge regression
-of those scores on the mask bits yields a signed weight per token: how much
-keeping that token pushed the probability of the class under study. Short
-texts skip sampling entirely and enumerate every non-empty mask, which
-doubles as a brute-force reference for the sampled path.
+batch (``model.predict_batch``, so the bundled classifier featurizes and
+scores them a pass of many texts at a time), and a kernel-weighted ridge
+regression of those scores on the mask bits yields a signed weight per
+token: how much keeping that token pushed the probability of the class
+under study. Short texts skip sampling entirely and enumerate every
+non-empty mask, which doubles as a brute-force reference for the sampled
+path.
 """
 
 from __future__ import annotations

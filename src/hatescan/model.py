@@ -10,13 +10,13 @@ Callers that hold a list of texts (training, evaluation, explanations, the
 scan) go through ``featurize_batch`` and ``predict_batch``. They return
 exactly what ``featurize`` and ``predict`` return per text. They featurize
 a pass of whole texts at a time: the pass's characters are read once as code
-points, each family of character n-grams is deduplicated in numpy, and only
-its distinct n-grams are built as strings. Those and the word n-grams are
-looked up together in a capped memo from n-gram to bucket, the ones it
-lacks are hashed in one step, and the pass counts every text's buckets with
-one ``np.unique``. The scan passes one memo through both stages of a batch, and
-``predict_batch`` reuses it only for a model of the feature config it was
-filled under.
+points, and every n-gram is hashed in numpy, with no strings and no lookup
+table, by a 64-bit polynomial over its code points (characters) or over its
+words' hashes (words), salted per family, size and ``hash_seed``, put
+through splitmix64's finalizer and masked to ``hash_dim`` (the hashing trick
+of Weinberger et al., 2009). The pass counts every text's buckets with one
+``np.unique``, and ``predict_batch`` scores the pass with one gather of its
+weight columns.
 
 ``save`` writes the weights from their own buffer and ``load`` reads them
 into the array the model holds, so neither copies a model's weights.
@@ -30,14 +30,12 @@ float operations in the same order as on full-width arrays.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 
 import numpy as np
 
@@ -60,22 +58,33 @@ __all__ = [
 ]
 
 _MAGIC = b"HSCM"
-_VERSION = 1
+_VERSION = 2
+# the n-gram hash of version 2, written into every header's feature_config
+_HASH = "poly64-splitmix64"
 
-# a memo holds at most this many n-grams: the new n-grams of a pass that
-# would not fit clear it first. One memo serves both stages of a scan
-# batch, so the target stage looks up, rather than hashes, the n-grams of
-# the flagged texts that are still in it. At 2^14 the bench's long scan
-# hashed 42% fewer n-grams, but in 1-second bench runs (six seeds, 2-CPU
-# box) its peak RSS rose 0.65% in the median and 1.3% at most, against
-# 0.26% and 0.56% at 2^13.
-_MEMO_LIMIT = 1 << 13
 # a featurizing pass takes whole texts up to this many characters, counting
-# one more per text; a longer text is a pass of its own. A pass holds about
-# 100 bytes of numpy arrays per character. In the same runs 2^12 kept the
-# median peak RSS within 0.35% of featurizing text by text on both
-# workloads, while 2^13 put two of six short runs 2.7% and 2.9% over.
+# one more per text; a longer text is a pass of its own. At its peak a pass
+# holds about 80 bytes of numpy arrays per character (tracemalloc, one text
+# of 2^16 characters).
 _PASS_CHARS = 1 << 12
+
+_M64 = (1 << 64) - 1
+# polynomial bases, odd so that P has an inverse modulo 2^64: P over the code
+# points of a character n-gram or of a word, Q over the word hashes of a word
+# n-gram
+_P = 0x9E3779B97F4A7C15
+_Q = 0xC2B2AE3D27D4EB4F
+_P64, _P_INV64, _Q64 = np.uint64(_P), np.uint64(pow(_P, -1, 1 << 64)), np.uint64(_Q)
+# splitmix64's finalizer
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_MIX64 = tuple(np.uint64(c) for c in _MIX)
+_SHIFT64 = tuple(np.uint64(s) for s in (30, 27, 31))
+# the code points str.split() splits on
+_WHITESPACE = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680,
+               *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+# indexed by min(code point, 0x3001)
+_IS_SPACE = np.zeros(0x3002, dtype=bool)
+_IS_SPACE[list(_WHITESPACE)] = True
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,9 @@ class FeatureConfig:
             raise ValueError("at least one n-gram family required")
         if any(not isinstance(n, int) or n < 1 for n in (*self.word_ngrams, *self.char_ngrams)):
             raise ValueError("n-gram sizes must be positive integers")
+        seed = self.hash_seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _M64:
+            raise ValueError("hash_seed must be an integer in [0, 2^64)")
 
 
 @dataclass(frozen=True)
@@ -155,24 +167,7 @@ class TrainedClassifier:
         return predict(self, text)
 
 
-class _Memo:
-    """The n-gram memo of a run of featurizing passes, for one feature config.
-
-    ``grams`` maps a prefixed n-gram to its bucket id. A memo made without a
-    config takes the config of the first model that scores through it.
-    ``predict_batch`` reuses a memo only for a model of the same config,
-    since bucket ids depend on the hash dimension, the seed and the n-gram
-    sizes.
-    """
-
-    __slots__ = ("config", "grams")
-
-    def __init__(self, config: FeatureConfig | None = None):
-        self.config = config
-        self.grams: dict[str, int] = {}
-
-
-def _passes(texts):
+def _groups(texts):
     """Lists of consecutive whole texts of at most ``_PASS_CHARS``
     characters, counting one more per text; a longer text goes alone."""
     group, size = [], 0
@@ -186,190 +181,133 @@ def _passes(texts):
         yield group
 
 
-def _featurize_each(texts, memo: _Memo):
-    """Yield the ``featurize`` vector of each text in turn, under
-    ``memo.config``.
+def _passes(texts, config: FeatureConfig):
+    """(buckets, values, bounds) of each pass of ``texts`` in turn: the
+    ``featurize`` vector of the pass's text ``i`` is
+    ``buckets[bounds[i]:bounds[i + 1]]`` with those ``values``.
 
-    The texts are featurized a pass at a time (see ``_passes``), so the
-    memory a call holds does not grow with the number of texts. A pass
-    hashes only the n-grams ``memo.grams`` lacks: each character family is
-    deduplicated in numpy first, so only its distinct n-grams are built as
-    strings, and each family's n-grams are looked up together, with the
-    misses hashed in one step (see ``_pass_keys`` and ``_hash_new``). The
-    pass then counts the buckets of all its texts with one ``np.unique``
-    over ``text * hash_dim + bucket``. A text's bucket counts are small
-    integers, so counting them gives the same floats as adding ones, and
-    each text's counts are normalized as a fresh array, as ``featurize``
-    always did.
+    A pass counts the n-grams of all its texts with one ``np.unique`` over
+    ``text * hash_dim + bucket``, so the memory a call holds does not grow
+    with the number of texts. A text's bucket counts are small integers,
+    so the sum of their squares is exact and each text's norm is the one
+    ``np.linalg.norm`` gives.
     """
-    dim = memo.config.hash_dim
-    for group in _passes(texts):
-        keys, counts = np.unique(_pass_keys(group, memo), return_counts=True)
+    dim = config.hash_dim
+    for group in _groups(texts):
+        keys, counts = np.unique(_pass_keys(group, config), return_counts=True)
         bounds = np.searchsorted(keys, np.arange(len(group) + 1, dtype=np.int64) * dim)
+        text = keys // dim
+        values = counts.astype(np.float64)
+        values /= np.sqrt(np.bincount(text, values * values, len(group)))[text]
         keys &= dim - 1
-        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            if start == stop:
-                yield SparseVector(np.empty(0, dtype=np.int64), np.empty(0), dim)
-                continue
-            values = counts[start:stop].astype(np.float64)
-            values /= np.linalg.norm(values)
-            yield SparseVector(keys[start:stop], values, dim)
-        del keys, counts
+        yield keys, values, bounds
+        del keys, counts, text, values
 
 
-def _hash_new(names: list, memo: _Memo) -> list:
-    """The bucket ids of ``names``, distinct n-grams ``memo.grams`` lacks,
-    hashed in one step and added to the memo.
-
-    The 8-byte ``blake2b`` digests are joined and read as one array of
-    little-endian integers and masked to ``hash_dim``, which gives each the
-    bucket ``int.from_bytes`` would. The memo is cleared first if the new
-    n-grams would not fit, and keeps at most ``_MEMO_LIMIT`` of them.
-    """
-    salt = memo.config.hash_seed.to_bytes(8, "little", signed=False)
-    digests = b"".join([hashlib.blake2b(name.encode("utf-8"), digest_size=8, salt=salt).digest()
-                        for name in names])
-    buckets = (np.frombuffer(digests, "<u8") & (memo.config.hash_dim - 1)).tolist()
-    grams = memo.grams
-    if len(grams) + len(names) > _MEMO_LIMIT:
-        grams.clear()
-    grams.update(zip(names[:_MEMO_LIMIT], buckets[:_MEMO_LIMIT]))
-    return buckets
-
-
-def _pass_keys(texts, memo: _Memo) -> np.ndarray:
+def _pass_keys(texts, config: FeatureConfig) -> np.ndarray:
     """``i * hash_dim + bucket`` for every n-gram of every ``texts[i]``.
 
-    The pass's word n-grams are looked up together, and so are the
-    distinct n-grams of each character family; the ones the memo lacks
-    are hashed in one step per family (``_hash_new``). The
-    texts' characters are ranked by code point, and each window's key
-    grows a character at a time as ``key * alphabet + rank``, so the
-    windows of one size are equal exactly when their keys are. When a key
-    would outgrow 63 bits, or the room ``_distinct`` leaves beside a
-    position, every key is first replaced by its rank among the distinct
-    keys, which keeps them exact for any alphabet and any n-gram size.
+    The pass's characters are read once as code points. Its words are the
+    runs of non-whitespace code points within a text, as ``str.split()``
+    finds them, each hashed as ``sum(c_j * P^j)`` (modulo 2^64) from prefix
+    sums of ``c_j * P^j`` over the pass, times ``P^-a`` for a word that
+    starts at ``a``. Character n-grams are keyed by code point and word
+    n-grams by word hash (see ``_ngram_keys``).
     """
-    config = memo.config
     dim = config.hash_dim
-    get = memo.grams.get
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    names, per_text = [], []
-    if config.word_ngrams:
-        families = [(n, f"w{n}\x00") for n in config.word_ngrams]
-        for text in texts:
-            words = text.split()
-            before = len(names)
-            for n, prefix in families:
-                for i in range(len(words) - n + 1):
-                    names.append(prefix + " ".join(words[i : i + n]))
-            per_text.append(len(names) - before)
-    keys = np.empty(len(names) + sum(int(np.maximum(lengths - n + 1, 0).sum())
-                                     for n in config.char_ngrams), dtype=np.int64)
-    filled = len(names)
-    if names:
-        words = keys[:filled]
-        words[:] = np.fromiter(map(get, names, repeat(-1)), dtype=np.int64, count=filled)
-        miss = words < 0
-        if miss.any():  # a word n-gram can recur within a pass
-            new = list(dict.fromkeys(compress(names, miss.tolist())))
-            found = dict(zip(new, _hash_new(new, memo)))
-            words[miss] = [found[name] for name in compress(names, miss.tolist())]
-        words += np.repeat(np.arange(len(texts)) * dim, per_text)
-    del names
-    if filled == len(keys):
-        return keys
-
-    joined = "".join(texts)
-    codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    points = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    codes = points.astype(np.uint64)
     total = len(codes)
-    bits = total.bit_length()  # enough for any position in the pass
-    alphabet, ranks = _distinct(codes.astype(np.int64), bits)
-    width = len(alphabet)
-    ranks = ranks.astype(np.int32)  # code points, and so ranks, lie below 2^21
-    del alphabet, codes
-    # a pass counts each text as at least one character, so text ids fit
-    # in int32
-    text_of = np.repeat(np.arange(len(texts), dtype=np.int32), lengths)
-    key, span = ranks.astype(np.int64), width  # every key lies in [0, span)
-    for n in range(1, max(config.char_ngrams) + 1):
+    owner = np.repeat(np.arange(len(texts), dtype=np.int64) * dim, lengths)
+    keys = _ngram_keys(codes, owner, config.char_ngrams, _P64, "c", config)
+    if config.word_ngrams:
+        space = _IS_SPACE[np.minimum(points, len(_IS_SPACE) - 1)]
+        # edge[j]: no word runs on from position j - 1 to position j
+        edge = np.ones(total + 1, dtype=bool)
+        np.logical_or(space[:-1], space[1:], out=edge[1:-1])
+        edge[np.cumsum(lengths)] = True
+        word = ~space
+        firsts = np.flatnonzero(edge[:-1] & word)
+        ends = np.flatnonzero(edge[1:] & word) + 1
+        del space, edge, word
+        powers = np.full(total, _P64)
+        powers[:1] = 1
+        np.cumprod(powers, out=powers)
+        prefix = np.zeros(total + 1, dtype=np.uint64)
+        np.cumsum(codes * powers, out=prefix[1:])
+        words = prefix[ends] - prefix[firsts]
+        powers.fill(_P_INV64)
+        powers[:1] = 1
+        np.cumprod(powers, out=powers)
+        words *= powers[firsts]
+        del powers, prefix
+        keys += _ngram_keys(words, owner[firsts], config.word_ngrams, _Q64, "w", config)
+    return np.concatenate(keys)
+
+
+def _ngram_keys(units, owner, sizes, base, family: str, config: FeatureConfig) -> list:
+    """The ``owner + bucket`` keys of the n-grams of ``units`` (a pass's
+    code points or word hashes, ``owner`` being ``i * hash_dim`` for the
+    text each lies in), one array per size in ``sizes``.
+
+    An n-gram of units ``u_0 .. u_{n-1}`` has the key
+    ``sum(u_j * base^(n-1-j))`` modulo 2^64, grown a unit at a time; only
+    the n-grams that end in the text they start in are kept. Its bucket is
+    the key xor the salt of ``(family, n, hash_seed)``, put through
+    splitmix64's finalizer and masked to ``hash_dim``. A size listed twice
+    counts twice.
+    """
+    keys = []
+    key = units.copy()
+    for n in range(1, max(sizes, default=0) + 1):
         if n > 1:
-            if span * width > 1 << 63:
-                distinct, key = np.unique(key, return_inverse=True)
-                span = len(distinct)
-            grown = key[: max(total - n + 1, 0)]
-            grown *= width
-            grown += ranks[n - 1 :]
-            span *= width
-        times = config.char_ngrams.count(n)
+            key = key[:-1]
+            key *= base
+            key += units[n - 1 :]
+        times = sizes.count(n)
         if not times:
             continue
-        if span > 1 << (63 - bits):
-            distinct, key = np.unique(key, return_inverse=True)
-            span = len(distinct)
-        # the windows that end in the text they start in
-        at = np.flatnonzero(text_of[: max(total - n + 1, 0)] == text_of[n - 1 :])
-        rows, inverse = _distinct(key[at], bits)
-        prefix = f"c{n}\x00"
-        names = [prefix + joined[i : i + n] for i in at[rows].tolist()]
-        ids = np.fromiter(map(get, names, repeat(-1)), dtype=np.int64, count=len(names))
-        miss = ids < 0
-        if miss.any():
-            ids[miss] = _hash_new(list(compress(names, miss.tolist())), memo)
-        family = keys[filled : filled + len(at)]
-        family[:] = text_of[at]
-        family *= dim
-        family += ids[inverse]
-        filled += len(at)
-        del at, rows, inverse, names, ids, miss
-        for _ in range(1, times):  # a size listed twice counts twice
-            keys[filled : filled + len(family)] = family
-            filled += len(family)
+        m = len(key)
+        inside = owner[:m] == owner[n - 1 : n - 1 + m]
+        mixed = key[inside]
+        mixed ^= np.uint64(_salt(family, n, config.hash_seed))
+        for shift, multiplier in zip(_SHIFT64, _MIX64):
+            mixed ^= mixed >> shift
+            mixed *= multiplier
+        mixed ^= mixed >> _SHIFT64[2]
+        mixed &= np.uint64(config.hash_dim - 1)
+        found = mixed.view(np.int64)
+        found += owner[:m][inside]
+        keys += [found] * times
     return keys
 
 
-def _distinct(values: np.ndarray, bits: int):
-    """(rows, inverse): the first index of each distinct value of
-    ``values``, in value order, and the rank of each value among them.
-
-    ``values`` must lie in ``[0, 2**(63 - bits))`` and number at most
-    ``2**bits``. Each is shifted up with its index in the low ``bits`` and
-    sorted in place, which finds both in one sort. ``np.unique``'s
-    ``return_index``/``return_inverse`` would add a stable argsort, which
-    was slower and held the bench's peak RSS about 0.7 MB higher.
-    """
-    packed = values << bits
-    packed |= np.arange(len(values))
-    packed.sort()
-    at = packed & ((1 << bits) - 1)
-    packed >>= bits
-    new = np.empty(len(packed), dtype=bool)
-    new[:1] = True
-    np.not_equal(packed[1:], packed[:-1], out=new[1:])
-    del packed
-    inverse = np.empty(len(at), dtype=np.int64)
-    inverse[at] = np.cumsum(new) - 1
-    return at[new], inverse
+def _salt(family: str, n: int, seed: int) -> int:
+    """splitmix64's finalizer of ``seed ^ (ord(family) << 32) ^ n``, in
+    Python integers."""
+    z = (seed ^ (ord(family) << 32) ^ n) & _M64
+    z = ((z ^ (z >> 30)) * _MIX[0]) & _M64
+    z = ((z ^ (z >> 27)) * _MIX[1]) & _M64
+    return z ^ (z >> 31)
 
 
 def featurize_batch(texts, config: FeatureConfig | None = None) -> list:
-    """``featurize`` of every text.
-
-    The texts are featurized a pass of whole texts at a time, and an
-    n-gram is hashed only when the memo lacks it. The memo, of at most
-    ``_MEMO_LIMIT`` entries, carries bucket ids from one pass to the next;
-    it is cleared when a pass's new n-grams would not fit, which bounds
-    memory and changes no vector.
-    """
-    return list(_featurize_each(texts, _Memo(config or FeatureConfig())))
+    """``featurize`` of every text, a pass of whole texts at a time."""
+    config = config or FeatureConfig()
+    dim = config.hash_dim
+    return [SparseVector(buckets[start:stop], values[start:stop], dim)
+            for buckets, values, bounds in _passes(texts, config)
+            for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def featurize(text: str, config: FeatureConfig | None = None) -> SparseVector:
     """Hash word and character n-grams of a normalized text into counts.
 
-    Word and character families are hashed in separate namespaces so a word
-    bigram can never collide with a character trigram of the same letters.
-    The count vector is L2-normalized; empty text gives the zero vector.
+    Each family and size is hashed under its own salt, so a word bigram and
+    a character n-gram with the same polynomial key land in unrelated
+    buckets. The count vector is L2-normalized; empty text gives the zero
+    vector.
     """
     return featurize_batch([text], config)[0]
 
@@ -415,12 +353,6 @@ def weighted_ce_loss(logits: np.ndarray, label: int, weights=1.0):
     grad = w * probs
     grad[label] -= w
     return loss, grad
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
 
 
 def _example_label(example):
@@ -635,37 +567,53 @@ def train(
 
 
 def predict(model: TrainedClassifier, text: str):
-    """Return (label, probs) for one normalized text.
+    """Return (label, probs) for one normalized text: ``predict_batch`` of
+    the one text.
 
     Ties in the probability vector resolve to the lowest class index, so
     prediction is deterministic even for degenerate models.
     """
-    return _predict_vector(model, featurize(text, model.feature_config))
+    vec = featurize(text, model.feature_config)
+    return _score(model, vec.indices, vec.values, np.array([0, len(vec.indices)]))[0]
 
 
-def predict_batch(model, texts, memo: _Memo | None = None) -> list:
+def predict_batch(model, texts) -> list:
     """``predict`` of every text, as a list of (label, probs).
 
-    The bundled classifier featurizes the texts a pass at a time through
-    one n-gram memo (see ``_featurize_each``); any other model (the
-    external backend contract: ``class_list`` plus ``predict(text)``) is
-    asked text by text. A ``memo`` shared between calls carries the bucket
-    ids one call worked out into the next; it is used only while its config
-    matches the model's, and a fresh memo otherwise, so sharing one never
-    changes a result.
+    The bundled classifier featurizes the texts a pass at a time (see
+    ``_passes``) and scores each pass at once (see ``_score``); any other
+    model (the external backend contract: ``class_list`` plus
+    ``predict(text)``) is asked text by text.
     """
     if not isinstance(model, TrainedClassifier):
         return [model.predict(text) for text in texts]
-    if memo is None or memo.config not in (None, model.feature_config):
-        memo = _Memo(model.feature_config)
-    memo.config = model.feature_config
-    return [_predict_vector(model, vec) for vec in _featurize_each(texts, memo)]
+    return [scored for buckets, values, bounds in _passes(texts, model.feature_config)
+            for scored in _score(model, buckets, values, bounds)]
 
 
-def _predict_vector(model: TrainedClassifier, vec: SparseVector):
-    logits = model.weights[:, vec.indices] @ vec.values + model.bias
-    probs = _softmax(logits)
-    return model.class_list[int(np.argmax(probs))], probs
+def _score(model: TrainedClassifier, buckets, values, bounds) -> list:
+    """(label, probs) of each text of a pass, text ``i`` having the
+    feature vector ``buckets[bounds[i]:bounds[i + 1]]`` with those
+    ``values``.
+
+    The pass's weight columns are gathered once, scaled by the values and
+    summed per text with ``np.add.reduceat``; a text without n-grams, for
+    which ``reduceat`` would return the element at its index, scores as the
+    bias alone. A row-wise softmax follows. The sums differ from a per-text
+    ``W[:, idx] @ vals`` only in the order of their additions.
+    """
+    logits = np.tile(model.bias, (len(bounds) - 1, 1))
+    filled = np.flatnonzero(bounds[:-1] < bounds[1:])
+    if len(filled):
+        terms = model.weights.take(buckets, axis=1)
+        terms *= values
+        logits[filled] += np.add.reduceat(terms, bounds[filled], axis=1).T
+        del terms
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    labels = [model.class_list[i] for i in probs.argmax(axis=1).tolist()]
+    return list(zip(labels, probs))
 
 
 def save(model: TrainedClassifier, path: str) -> None:
@@ -683,6 +631,7 @@ def save(model: TrainedClassifier, path: str) -> None:
             "word_ngrams": list(model.feature_config.word_ngrams),
             "char_ngrams": list(model.feature_config.char_ngrams),
             "hash_seed": model.feature_config.hash_seed,
+            "hash": _HASH,
         },
         "n_classes": len(model.class_list),
         "payload_crc32": zlib.crc32(bias, zlib.crc32(weights)),
@@ -710,6 +659,10 @@ def load(path: str) -> TrainedClassifier:
             if len(head) < 12 or head[:4] != _MAGIC:
                 raise ModelError(f"{path}: not a model file (bad magic)")
             (version,) = struct.unpack("<I", head[4:8])
+            if version == 1:
+                raise ModelError(f"{path}: model version 1 hashed its n-grams with the"
+                                 " featurizer of an older hatescan; the featurizer changed"
+                                 " in version 2, so the model must be retrained")
             if version != _VERSION:
                 raise ModelError(f"{path}: unsupported model version {version}")
             (header_len,) = struct.unpack("<I", head[8:12])
@@ -726,8 +679,11 @@ def load(path: str) -> TrainedClassifier:
                     hash_seed=header["feature_config"]["hash_seed"],
                 )
                 crc_expected = header["payload_crc32"]
+                hash_name = header["feature_config"]["hash"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise ModelError(f"{path}: corrupt header: {exc}") from exc
+            if hash_name != _HASH:
+                raise ModelError(f"{path}: unknown n-gram hash {hash_name!r}")
 
             k = len(class_list)
             payload_len = os.fstat(fh.fileno()).st_size - 12 - header_len

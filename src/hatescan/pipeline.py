@@ -29,7 +29,7 @@ from .distribution import (
     render_json,
     report,
 )
-from .model import TrainedClassifier, _Memo, predict_batch
+from .model import TrainedClassifier, predict_batch
 from .model import load as load_model
 from .normalize import is_english, normalize
 
@@ -124,13 +124,13 @@ def _attempt(fn, *args):
         return exc
 
 
-def _labels(model, texts: list, memo: _Memo) -> list:
+def _labels(model, texts: list) -> list:
     """The label ``model`` predicts for each text, or the exception it raised.
 
     The bundled classifier scores all the texts in one ``predict_batch``
-    pass, through ``memo``. If that pass raises, the texts are scored one by
-    one (the model is pure, so asking again is harmless) and only the ones
-    that raise fail.
+    call. If that call raises, the texts are scored one by one (the model
+    is pure, so asking again is harmless) and only the ones that raise
+    fail.
     Any other backend (``class_list`` plus ``predict(text)``) is asked text
     by text, each text once.
     """
@@ -138,7 +138,7 @@ def _labels(model, texts: list, memo: _Memo) -> list:
         return []
     if isinstance(model, TrainedClassifier):
         try:
-            return [label for label, _ in predict_batch(model, texts, memo)]
+            return [label for label, _ in predict_batch(model, texts)]
         except Exception as exc:  # noqa: BLE001 - rescored text by text
             logger.debug("batch scoring failed, scoring text by text: %s", exc)
     return [_attempt(lambda t: model.predict(t)[0], text) for text in texts]
@@ -172,15 +172,9 @@ def _classify_batch(texts: list, pipeline: Pipeline):
     Returns the Classification of each text, or the exception that stopped
     it, in input order, plus the seconds spent in the detector and in the
     target model. Each hateful text reaches the target model exactly once.
-
-    Both stages score through one n-gram memo, used by the target model when
-    its feature config is the detector's: a target text is its detector text
-    with topic words appended, so nearly all of its n-grams are looked up,
-    not hashed. The memo lives for this batch only.
     """
-    memo = _Memo()
     started = time.perf_counter()
-    labels = _labels(pipeline.detector, texts, memo)
+    labels = _labels(pipeline.detector, texts)
     detect_s = time.perf_counter() - started
     results = [label if isinstance(label, Exception) else Classification(label=NORMAL)
                for label in labels]
@@ -193,7 +187,7 @@ def _classify_batch(texts: list, pipeline: Pipeline):
             hateful.append(i)
             staged.append(text)
     started = time.perf_counter()
-    targets = _labels(pipeline.target_model, staged, memo)
+    targets = _labels(pipeline.target_model, staged)
     target_s = time.perf_counter() - started
     for i, target in zip(hateful, targets):
         results[i] = (target if isinstance(target, Exception)

@@ -410,6 +410,24 @@ def test_run_and_report(tmp_path, capsys):
     assert "#" in capsys.readouterr().out
 
 
+def test_run_with_a_version_1_model_is_a_model_error(tmp_path, capsys):
+    # a model file of the blake2b featurizer: version 1, otherwise well formed
+    target_model = trained_target_model(tmp_path)
+    with open(trained_detector(tmp_path), "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[4:8] = (1).to_bytes(4, "little")
+    old = tmp_path / "detector-v1.bin"
+    old.write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = main(["run", "--corpus", corpus_file(tmp_path), "--out", str(tmp_path / "d.json"),
+                 "--detector", str(old), "--target-model", target_model])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"model error: {old}: model version 1 ")
+    assert "the featurizer changed in version 2, so the model must be retrained" in err
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_plain_text_corpus_streams_after_an_eager_open(tmp_path):
     from hatescan.cli import _read_texts
 

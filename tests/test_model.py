@@ -1,6 +1,5 @@
 """Tests for featurization, weighted loss, training and persistence."""
 
-import hashlib
 import json
 import math
 import os
@@ -21,7 +20,6 @@ from hatescan.model import (
     Hyperparams,
     TrainedClassifier,
     _EarlyStopTracker,
-    _Memo,
     _epoch_pass,
     class_weights,
     featurize,
@@ -118,18 +116,72 @@ def test_featurize_seed_changes_hashes() -> None:
     assert not np.array_equal(a, b)
 
 
+M64 = 2**64 - 1
+P = 0x9E3779B97F4A7C15
+Q = 0xC2B2AE3D27D4EB4F
+
+
+def splitmix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def reference_keys(text: str, fc: FeatureConfig) -> list:
+    """(family, n, key) of every n-gram of the text, in text order: a
+    character n-gram's key is the polynomial in P of its code points, a
+    word's hash is ``sum(ord(c_j) * P^j)`` and a word n-gram's key is the
+    polynomial in Q of its words' hashes, all modulo 2^64."""
+    def polynomial(units, base):
+        key = 0
+        for unit in units:
+            key = (key * base + unit) & M64
+        return key
+
+    words = [sum(ord(c) * pow(P, j, 2**64) for j, c in enumerate(word)) & M64
+             for word in text.split()]
+    codes = [ord(c) for c in text]
+    return ([("w", n, polynomial(words[i : i + n], Q))
+             for n in fc.word_ngrams for i in range(len(words) - n + 1)]
+            + [("c", n, polynomial(codes[i : i + n], P))
+               for n in fc.char_ngrams for i in range(len(codes) - n + 1)])
+
+
+def reference_bucket(family: str, n: int, key: int, fc: FeatureConfig) -> int:
+    salt = splitmix64(fc.hash_seed ^ (ord(family) << 32) ^ n)
+    return splitmix64(key ^ salt) & (fc.hash_dim - 1)
+
+
+def reference_featurize(text: str, fc: FeatureConfig):
+    """The version-2 hash in plain Python integers, written out
+    independently of the module: counts per bucket, L2-normalized."""
+    counts: dict = {}
+    for family, n, key in reference_keys(text, fc):
+        bucket = reference_bucket(family, n, key, fc)
+        counts[bucket] = counts.get(bucket, 0) + 1
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    indices = sorted(counts)
+    return (np.array(indices, dtype=np.int64),
+            np.array([counts[i] / norm for i in indices], dtype=np.float64))
+
+
 def test_featurize_hashes_are_pinned() -> None:
     # Model files store weights by hash bucket, so the bucket of every n-gram
-    # (blake2b, 8-byte digest, little-endian seed as salt) is part of the
-    # file format. Recorded from the one-hash-per-n-gram featurizer.
+    # is part of the file format (version 2: polynomial keys, splitmix64
+    # finalizer salted per family, size and seed). Recorded from the
+    # version-2 featurizer; a change here needs a version bump.
+    # two raw 63-bit buckets pin the reference statement of the hash
+    assert reference_bucket("c", 3, 0, FeatureConfig(hash_dim=2**63)) == 3080534673961632303
+    assert (reference_bucket("w", 1, 1, FeatureConfig(hash_dim=2**63, hash_seed=M64))
+            == 3259330842804870005)
     vec = featurize("no no no café", FeatureConfig())
     assert vec.indices.tolist() == [
-        9397, 33250, 57433, 61590, 67291, 77576, 115784, 121255, 122865,
-        135580, 160516, 162260, 162499, 166519, 180687, 185472, 195714,
-        203241, 230238, 231088, 232198, 235610, 252957, 255751, 259386,
+        1219, 14243, 25930, 50900, 50932, 66461, 70898, 78638, 95963,
+        135326, 135937, 151620, 153998, 157925, 174397, 177375, 179019,
+        191162, 194262, 208629, 218207, 226923, 227592, 242801, 244012,
     ]
-    counts = np.array([2, 2, 2, 2, 3, 2, 1, 3, 1, 1, 1, 2, 1, 1, 1, 2,
-                       1, 1, 2, 1, 1, 1, 1, 1, 1], dtype=np.float64)
+    counts = np.array([2, 1, 1, 1, 2, 1, 2, 2, 3, 1, 1, 1, 2, 2, 2, 2,
+                       3, 1, 1, 1, 1, 1, 1, 1, 1], dtype=np.float64)
     np.testing.assert_allclose(vec.values, counts / math.sqrt(65), rtol=0, atol=1e-15)
 
 
@@ -143,31 +195,6 @@ BATCH_TEXTS = [
     "some normalized text",
     "",
 ]
-
-
-def reference_grams(text: str, fc: FeatureConfig) -> list:
-    """Every n-gram of the text with its namespace prefix, in text order."""
-    words = text.split()
-    return ([f"w{n}\x00" + " ".join(words[i : i + n])
-             for n in fc.word_ngrams for i in range(len(words) - n + 1)]
-            + [f"c{n}\x00" + text[i : i + n]
-               for n in fc.char_ngrams for i in range(len(text) - n + 1)])
-
-
-def reference_featurize(text: str, fc: FeatureConfig):
-    """Counts per bucket with one blake2b call per n-gram, written out
-    independently of the module."""
-    salt = fc.hash_seed.to_bytes(8, "little")
-    counts: dict = {}
-    for gram in reference_grams(text, fc):
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, salt=salt).digest()
-        key = int.from_bytes(digest, "little") & (fc.hash_dim - 1)
-        counts[key] = counts.get(key, 0.0) + 1.0
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices.tolist()], dtype=np.float64)
-    if len(values):
-        values /= np.linalg.norm(values)
-    return indices, values
 
 
 def assert_same_vectors(got, texts, fc) -> None:
@@ -186,38 +213,6 @@ def assert_same_vectors(got, texts, fc) -> None:
 @pytest.mark.parametrize("fc", [SMALL_FC, FeatureConfig(hash_seed=3)])
 def test_featurize_batch_matches_featurize(fc) -> None:
     assert_same_vectors(featurize_batch(BATCH_TEXTS, fc), BATCH_TEXTS, fc)
-
-
-def _count_blake2b(monkeypatch) -> list:
-    calls = []
-    real = hashlib.blake2b
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hashlib, "blake2b", counting)
-    return calls
-
-
-def test_featurize_batch_hashes_each_distinct_ngram_once(monkeypatch) -> None:
-    calls = _count_blake2b(monkeypatch)
-    # "the cat" has no n-gram that "the cat the cat" lacks
-    featurize_batch(["the cat the cat"] * 5 + ["the cat"], SMALL_FC)
-    distinct = {g.encode("utf-8") for g in reference_grams("the cat the cat", SMALL_FC)}
-    assert sorted(calls) == sorted(distinct)
-
-
-def test_featurize_batch_crossing_the_memo_cap_changes_nothing(monkeypatch) -> None:
-    texts = BATCH_TEXTS * 3
-    monkeypatch.setattr(hatescan.model, "_MEMO_LIMIT", 4)
-    # a pass dedupes its own n-grams, so the texts take several passes
-    monkeypatch.setattr(hatescan.model, "_PASS_CHARS", 64)
-    calls = _count_blake2b(monkeypatch)
-    got = featurize_batch(texts, SMALL_FC)
-    distinct = {g for t in texts for g in reference_grams(t, SMALL_FC)}
-    assert len(calls) > len(distinct)  # the memo was cleared and refilled
-    assert_same_vectors(got, texts, SMALL_FC)
 
 
 FEATURE_CONFIGS = [
@@ -242,6 +237,55 @@ def test_featurize_batch_matches_reference_on_generated_texts(fc, texts) -> None
     assert_same_vectors(featurize_batch(texts, fc), texts, fc)
 
 
+WHITESPACE = [chr(c) for c in hatescan.model._WHITESPACE]
+
+
+def test_whitespace_is_what_str_split_splits_on() -> None:
+    assert len(WHITESPACE) == 29
+    assert WHITESPACE == [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert all(f"a{c}b".split() == ["a", "b"] for c in WHITESPACE)
+
+
+# every whitespace code point, lone surrogates, emoji (some beyond the
+# basic plane, some with a zero-width joiner), the NUL character and letters
+AWKWARD_TEXTS = st.lists(
+    st.one_of(st.sampled_from(WHITESPACE),
+              st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff", "\x00"]),
+              st.sampled_from(["😂", "🔥", "👩‍💻", "☺️", "\U0010ffff"]),
+              st.sampled_from(["a", "no", "café", "ß", "x9"])),
+    max_size=20,
+).map("".join)
+
+
+@pytest.mark.parametrize("fc", [
+    FeatureConfig(hash_dim=2**10, word_ngrams=(1, 1, 2), char_ngrams=(3, 3), hash_seed=M64),
+    FeatureConfig(hash_dim=2**12, word_ngrams=(2, 3), char_ngrams=(1, 4, 4), hash_seed=1),
+])
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.just(""), AWKWARD_TEXTS), max_size=8))
+def test_featurize_batch_matches_reference_on_awkward_texts(fc, texts) -> None:
+    assert_same_vectors(featurize_batch(texts, fc), texts, fc)
+
+
+@pytest.mark.parametrize("fc", [FeatureConfig(),
+                                FeatureConfig(word_ngrams=(1, 3), char_ngrams=(2, 4, 6),
+                                              hash_seed=7)])
+def test_buckets_spread_like_a_uniform_hash(fc) -> None:
+    # m = 2^18 buckets take n of about 10^5 distinct n-grams; a uniform hash
+    # fills m(1 - (1 - 1/m)^n) of them on average, with a standard
+    # deviation of about 0.12%
+    rng = random.Random(0)
+    vocabulary = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(2, 9)))
+                  for _ in range(4000)]
+    texts = [" ".join(rng.choices(vocabulary, k=12)) for _ in range(1000)]
+    grams = {(family, n, key) for text in texts for family, n, key in reference_keys(text, fc)}
+    buckets = set(np.concatenate([vec.indices for vec in featurize_batch(texts, fc)]).tolist())
+    m, n = fc.hash_dim, len(grams)
+    expected = m * (1 - (1 - 1 / m) ** n)
+    assert n > m / 4
+    assert abs(len(buckets) - expected) < 0.005 * expected
+
+
 def explanation_masks() -> list:
     """The texts ``lime_explain`` scores: 1000 sampled masks of 15 tokens
     and every mask of 8."""
@@ -259,25 +303,16 @@ def test_featurize_batch_matches_reference_on_explanation_masks(fc) -> None:
     assert_same_vectors(featurize_batch(texts, fc), texts, fc)
 
 
-def test_featurize_batch_matches_reference_across_memo_clears(monkeypatch) -> None:
-    # at 64 the memos are cleared every few texts, while the segment table,
-    # which holds under half the cap here, is kept
-    monkeypatch.setattr(hatescan.model, "_MEMO_LIMIT", 64)
-    texts = explanation_masks()
-    assert_same_vectors(featurize_batch(texts, SMALL_FC), texts, SMALL_FC)
-
-
 @pytest.mark.parametrize("fc", [
     FeatureConfig(hash_dim=2**10, word_ngrams=(1, 2, 3), char_ngrams=(2, 6), hash_seed=5),
     FeatureConfig(),
 ])
 def test_featurize_batch_re_ranks_keys_that_would_overflow(fc) -> None:
     # one text longer than a pass, of under 2^14 characters: the space and
-    # 2^13 - 1 consecutive CJK code points, so each character's rank is its
-    # offset plus one. Without re-ranking, a 6-gram's first rank would be
-    # multiplied by 2^65, and a 4-gram's by 2^53 once shifted past its
-    # position, so both would wrap away, and the n-grams of the words below,
-    # whose first ranks differ by multiples of 2^11, would share keys.
+    # 2^13 - 1 consecutive CJK code points. A key exact in 63 bits would
+    # need re-ranking here; the polynomial keys wrap modulo 2^64 instead,
+    # and the n-grams of the words below, whose first characters differ by
+    # multiples of 2^11, must still land where the reference puts them.
     cjk = [chr(0x4E00 + i) for i in range(2**13 - 1)]
     tail = "".join(cjk[5000:5005])
     rest = cjk[:]
@@ -303,42 +338,22 @@ def test_featurize_batch_matches_reference_on_a_text_longer_than_a_pass(fc) -> N
 def test_featurize_batch_across_many_passes_hashes_each_ngram_once(monkeypatch, fc) -> None:
     monkeypatch.setattr(hatescan.model, "_PASS_CHARS", 64)
     texts = BATCH_TEXTS + explanation_masks()[:200]
-    calls = _count_blake2b(monkeypatch)
+    passes = []
+    real = hatescan.model._pass_keys
+
+    def spy(group, config):
+        passes.append((list(group), real(group, config)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(hatescan.model, "_pass_keys", spy)
     got = featurize_batch(texts, fc)
-    # the memo carries each n-gram's bucket from one pass to the next
-    distinct = {g.encode("utf-8") for t in texts for g in reference_grams(t, fc)}
-    assert sorted(calls) == sorted(distinct)
+    assert len(passes) > 10 and [t for group, _ in passes for t in group] == texts
+    # each pass keys every n-gram occurrence of its texts exactly once
+    for group, keys in passes:
+        want = [i * fc.hash_dim + reference_bucket(*gram, fc)
+                for i, text in enumerate(group) for gram in reference_keys(text, fc)]
+        assert keys.dtype == np.int64 and sorted(keys.tolist()) == sorted(want)
     assert_same_vectors(got, texts, fc)
-
-
-@pytest.mark.parametrize("fc", [SMALL_FC, FEATURE_CONFIGS[1]])
-def test_memo_never_outgrows_its_cap(monkeypatch, fc) -> None:
-    monkeypatch.setattr(hatescan.model, "_MEMO_LIMIT", 400)
-    monkeypatch.setattr(hatescan.model, "_PASS_CHARS", 64)
-    texts = BATCH_TEXTS + explanation_masks()[:300]
-    memo = _Memo(fc)
-    sizes = []
-    for vec, text in zip(hatescan.model._featurize_each(texts, memo), texts):
-        sizes.append(len(memo.grams))
-        assert sizes[-1] <= 400
-        indices, values = reference_featurize(text, fc)
-        assert np.array_equal(vec.indices, indices) and np.array_equal(vec.values, values)
-    # the memo filled up to near its cap, and was cleared
-    assert max(sizes) > 300 and any(b < a for a, b in zip(sizes, sizes[1:]))
-
-    rng = np.random.default_rng(0)
-    model = TrainedClassifier(weights=rng.normal(size=(3, fc.hash_dim)), bias=rng.normal(size=3),
-                              class_list=("a", "b", "c"), feature_config=fc)
-    memo = _Memo()
-    got = predict_batch(model, texts, memo)
-    assert 0 < len(memo.grams) <= 400
-    for (label, probs), text in zip(got, texts):
-        indices, values = reference_featurize(text, fc)
-        logits = model.weights[:, indices] @ values + model.bias
-        want = np.exp(logits - logits.max())
-        want /= want.sum()
-        assert np.array_equal(probs, want)
-        assert label == model.class_list[int(np.argmax(want))]
 
 
 def test_featurizing_holds_memory_bounded_whatever_the_text_count() -> None:
@@ -352,7 +367,7 @@ def test_featurizing_holds_memory_bounded_whatever_the_text_count() -> None:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            for _ in hatescan.model._featurize_each(generated(count), _Memo(SMALL_FC)):
+            for _ in hatescan.model._passes(generated(count), SMALL_FC):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -390,37 +405,39 @@ def _random_classes(k: int, fc: FeatureConfig, seed: int = 0) -> TrainedClassifi
                              feature_config=fc)
 
 
-def test_predict_batch_shares_a_memo_between_models_of_one_config(monkeypatch) -> None:
-    two = train(make_separable(20), [], Hyperparams(max_epochs=3, seed=0), SMALL_FC)
-    five = _random_classes(5, SMALL_FC)
-    texts = [e.text for e in make_separable(5, seed=1)] + BATCH_TEXTS
-    topical = [text + " topic words appended" for text in texts]
-    alone = [predict_batch(two, texts), predict_batch(five, topical)]
-    memo = _Memo()
-    shared = [predict_batch(two, texts, memo)]
-    calls = _count_blake2b(monkeypatch)
-    shared.append(predict_batch(five, topical, memo))
-    # only the n-grams the appended words bring are new to the memo
-    new = {g for t in topical for g in reference_grams(t, SMALL_FC)}
-    new -= {g for t in texts for g in reference_grams(t, SMALL_FC)}
-    assert sorted(calls) == sorted(g.encode("utf-8") for g in new)
-    for got, want in zip(shared, alone):
-        assert [label for label, _ in got] == [label for label, _ in want]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.just(""), GENERATED_TEXTS, AWKWARD_TEXTS), max_size=12),
+       st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_predict_batch_scores_within_1e_15_of_the_per_text_product(texts, k, seed) -> None:
+    model = _random_classes(k, SMALL_FC, seed)
+    got = predict_batch(model, texts)
+    assert len(got) == len(texts)
+    for (label, probs), text in zip(got, texts):
+        vec = featurize(text, SMALL_FC)
+        logits = model.weights[:, vec.indices] @ vec.values + model.bias
+        want = np.exp(logits - logits.max())
+        want /= want.sum()
+        assert probs.dtype == np.float64 and probs.shape == (k,)
+        assert np.abs(probs - want).max() <= 1e-15
+        top = np.sort(want)[-2:]
+        if top[1] - top[0] > 1e-15:
+            assert label == model.class_list[int(np.argmax(want))]
+        if not text:  # no n-gram: the bias alone
+            assert np.array_equal(probs, want)
 
 
-@pytest.mark.parametrize("other", [FeatureConfig(hash_dim=2**10, hash_seed=1),
-                                   FeatureConfig(hash_dim=2**10, char_ngrams=(2, 3))])
-def test_predict_batch_never_reuses_a_memo_of_another_config(other) -> None:
-    first, second = _random_classes(3, SMALL_FC), _random_classes(3, other, seed=1)
-    texts = [e.text for e in make_separable(5, seed=1)] + BATCH_TEXTS
-    memo = _Memo()
-    predict_batch(first, texts, memo)
-    for model in (second, first):
-        got = predict_batch(model, texts, memo)
-        want = predict_batch(model, texts)
-        assert [label for label, _ in got] == [label for label, _ in want]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+def test_predict_scores_a_text_without_ngrams_by_its_bias_alone() -> None:
+    words_only = FeatureConfig(hash_dim=2**10, char_ngrams=())
+    for fc, text in ((SMALL_FC, ""), (words_only, " \t\n")):
+        model = _random_classes(3, fc)
+        want = np.exp(model.bias - model.bias.max())
+        want /= want.sum()
+        label, probs = predict(model, text)
+        assert np.array_equal(probs, want)
+        assert label == model.class_list[int(np.argmax(want))]
+        got = predict_batch(model, [text, "some words", text, text])
+        assert all(np.array_equal(probs, want) for _, probs in got[::2] + got[3:])
+        assert not np.array_equal(got[1][1], want)
 
 
 def test_feature_config_validation() -> None:
@@ -435,6 +452,19 @@ def test_feature_config_validation() -> None:
         FeatureConfig(hash_dim=2**9)  # too small
     with pytest.raises(ValueError):
         FeatureConfig(word_ngrams=(), char_ngrams=())
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, False, 1.0, "0", None])
+def test_feature_config_refuses_a_seed_outside_64_bits(seed) -> None:
+    with pytest.raises(ValueError, match="hash_seed"):
+        FeatureConfig(hash_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_feature_config_takes_any_64_bit_seed(seed) -> None:
+    fc = FeatureConfig(hash_dim=2**10, hash_seed=seed)
+    texts = ["any seed hashes", ""]
+    assert_same_vectors(featurize_batch(texts, fc), texts, fc)
 
 
 # ---------------------------------------------------------------- class_weights
@@ -872,6 +902,54 @@ def test_load_wrong_version(tmp_path) -> None:
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelError, match="version"):
         load(path)
+
+
+def test_load_refuses_a_version_1_file_and_says_to_retrain(tmp_path) -> None:
+    # a version-1 header, as the blake2b featurizer wrote it, before its payload
+    header = json.dumps({"class_list": ["hate", "normal"], "feature_config": {
+        "char_ngrams": [3, 4, 5], "hash_dim": 1024, "hash_seed": 0, "word_ngrams": [1, 2]},
+        "n_classes": 2, "payload_crc32": 0, "training_log": []},
+        sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"HSCM" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little")
+                     + header + bytes(8 * (2 * 1024 + 2)))
+    with pytest.raises(ModelError) as info:
+        load(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and "version 1" in message
+    assert "featurizer changed" in message and "retrained" in message
+
+
+def test_save_writes_version_2_and_the_hash_name(tmp_path) -> None:
+    path = tmp_path / "m.bin"
+    save(_random_model(), path)
+    blob = path.read_bytes()
+    assert blob[4:8] == (2).to_bytes(4, "little")
+    header = json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")])
+    assert header["feature_config"]["hash"] == "poly64-splitmix64"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: blob.replace(b'"hash":"poly64-splitmix64"', b'"hash":"blake2b-8"'),
+     "unknown n-gram hash 'blake2b-8'"),
+    (lambda blob: blob.replace(b'"hash":"poly64-splitmix64",', b""), "corrupt header"),
+    (lambda blob: blob.replace(b'"hash_seed":0', b'"hash_seed":-1'),
+     "corrupt header: hash_seed must be"),
+    (lambda blob: blob.replace(b'"hash_seed":0', b'"hash_seed":18446744073709551616'),
+     "corrupt header: hash_seed must be"),
+])
+def test_load_refuses_a_header_of_another_hash_or_seed(tmp_path, edit, message) -> None:
+    path = tmp_path / "m.bin"
+    save(_random_model(), path)
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[8:12], "little")
+    header = edit(blob[12 : 12 + header_len])
+    assert header != blob[12 : 12 + header_len]
+    path.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header
+                     + blob[12 + header_len :])
+    with pytest.raises(ModelError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def test_load_flipped_payload_byte(tmp_path) -> None:

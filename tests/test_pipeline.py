@@ -12,7 +12,7 @@ from hatescan.errors import DataError, ModelError
 from hatescan.model import Hyperparams
 from hatescan.model import save as save_model
 from hatescan.model import train
-from hatescan.normalize import is_english, normalize
+from hatescan.normalize import is_english
 from hatescan.corpus import LabeledExample
 from hatescan.pipeline import (
     Classification,
@@ -440,9 +440,9 @@ def test_each_stage_scores_a_batch_in_one_predict_batch_call(trained_pipeline,
     calls = []
     real = pipeline_module.predict_batch
 
-    def spy(model, texts, memo=None):
+    def spy(model, texts):
         calls.append((model, len(texts)))
-        return real(model, texts, memo)
+        return real(model, texts)
 
     monkeypatch.setattr(pipeline_module, "predict_batch", spy)
     # a batch with no hateful post and one with no English post come first
@@ -473,10 +473,10 @@ def test_a_failed_batch_call_is_rescored_text_by_text(trained_pipeline,
     real_batch = pipeline_module.predict_batch
     real_predict = model_module.predict
 
-    def batch(model, texts, memo=None):
+    def batch(model, texts):
         if any("boom" in t.split() for t in texts):
             raise RuntimeError("boom in batch")
-        return real_batch(model, texts, memo)
+        return real_batch(model, texts)
 
     def predict(model, text):
         if "boom" in text.split():
@@ -540,36 +540,3 @@ def test_a_failed_topic_batch_is_assigned_text_by_text(trained_pipeline,
     assert (dist.hateful_posts, dist.normal_posts, dist.excluded_posts,
             dist.per_target) == (expected.hateful_posts, expected.normal_posts,
                                  expected.excluded_posts, expected.per_target)
-
-
-def test_both_stages_hash_each_ngram_of_a_batch_once(trained_pipeline,
-                                                     monkeypatch):
-    import hashlib
-
-    from hatescan.pipeline import _classify_batch, _staged
-
-    # the last two posts are on the topic model's one topic
-    posts = [text for text in mixed_corpus() if is_english(text)]
-    posts += ["the filth jews and the mosque veil imam quran",
-              "filth muslim and the imam veil quran mosque"]
-    texts = [str(normalize(text)) for text in posts]
-    hateful = [t for t in texts if classify_post(t, trained_pipeline).label == "hate"]
-    staged = _staged(hateful, trained_pipeline.topic_model)
-    assert hateful and any(s != t for s, t in zip(staged, hateful))
-    fc = trained_pipeline.detector.feature_config
-    assert trained_pipeline.target_model.feature_config == fc
-    words = [" ".join(w[i:i + n]) for w in (t.split() for t in texts + staged)
-             for n in fc.word_ngrams for i in range(len(w) - n + 1)]
-    chars = [t[i:i + n] for t in texts + staged
-             for n in fc.char_ngrams for i in range(len(t) - n + 1)]
-    calls = []
-    real = hashlib.blake2b
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hashlib, "blake2b", counting)
-    results, _, _ = _classify_batch(texts, trained_pipeline)
-    assert sum(r.label == "hate" for r in results) == len(hateful)
-    assert len(calls) == len(set(calls)) == len(set(words)) + len(set(chars))
