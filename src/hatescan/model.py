@@ -18,8 +18,9 @@ of Weinberger et al., 2009). The pass counts every text's buckets with one
 ``np.unique``, and ``predict_batch`` scores the pass with one gather of its
 weight columns.
 
-``save`` writes the weights from their own buffer and ``load`` reads them
-into the array the model holds, so neither copies a model's weights.
+A model file leaves out the weight columns whose every weight is ``+0.0``
+and marks the rest in a bitmap. ``save`` and ``load`` handle the weights a
+block of columns at a time, so neither holds a second copy of them.
 
 Training runs on the hashed columns its texts touch, not on all ``hash_dim``
 of them, and writes the result into a full-width matrix at the end. That is
@@ -58,9 +59,18 @@ __all__ = [
 ]
 
 _MAGIC = b"HSCM"
-_VERSION = 2
-# the n-gram hash of version 2, written into every header's feature_config
+_VERSION = 3
+# the n-gram hash of versions 2 and 3, written into every header's
+# feature_config
 _HASH = "poly64-splitmix64"
+# save and load refuse a model of more weights than this (512 MiB of
+# float64): a version-3 file does not bound them, since one bitmap bit
+# stands for a column of n_classes weights
+_MAX_WEIGHTS = 1 << 26
+# save and load handle the weight payload this many columns at a time
+_BLOCK_COLS = 1 << 14
+# and keep at most this many stored-column indices (256 KiB) across rows
+_KEPT_COLS = 1 << 15
 
 # a featurizing pass takes whole texts up to this many characters, counting
 # one more per text; a longer text is a pass of its own. At its peak a pass
@@ -616,14 +626,72 @@ def _score(model: TrainedClassifier, buckets, values, bounds) -> list:
     return list(zip(labels, probs))
 
 
+def _stored(bitmap: np.ndarray, start: int) -> np.ndarray:
+    """The stored columns of the block of columns at ``start``, in order."""
+    chunk = bitmap[start // 8 : (start + _BLOCK_COLS) // 8]
+    cols = np.flatnonzero(np.unpackbits(chunk, bitorder="little").view(bool))
+    cols += start
+    return cols
+
+
+def _row_blocks(bitmap: np.ndarray, rows: int):
+    """(row, stored columns) of each block of columns of each row, in
+    payload order.
+
+    The columns of the first blocks are kept for the later rows while they
+    number at most ``_KEPT_COLS`` in all, so a trained model, whose stored
+    columns are few, unpacks each block of its bitmap once.
+    """
+    kept, held = {}, 0
+    for row in range(rows):
+        for start in range(0, len(bitmap) * 8, _BLOCK_COLS):
+            cols = kept.get(start)
+            if cols is None:
+                cols = _stored(bitmap, start)
+                if held + len(cols) <= _KEPT_COLS:
+                    kept[start] = cols
+                    held += len(cols)
+            yield row, cols
+
+
+def _read(fh, array: np.ndarray, path) -> np.ndarray:
+    if fh.readinto(array) != array.nbytes:
+        raise ModelError(f"{path}: truncated weight payload")
+    return array
+
+
+def _check_size(path, k: int, hash_dim: int) -> None:
+    if k * hash_dim > _MAX_WEIGHTS:
+        raise ModelError(f"{path}: {k} classes x {hash_dim} columns is {k * hash_dim}"
+                         f" weights, more than the {_MAX_WEIGHTS} a model file may hold")
+
+
 def save(model: TrainedClassifier, path: str) -> None:
     """Write the versioned binary model file (little-endian, checksummed).
 
-    The payload is checksummed and written from the arrays' own buffers, so
-    a little-endian float64 model is saved without a copy of its weights.
+    Only the weight columns with a nonzero bit pattern in some row are
+    stored, after a bitmap of them. The payload is checksummed and then
+    written a block of columns at a time, so besides the model's weights
+    saving holds one block of them and the columns ``_row_blocks`` keeps.
     """
+    _check_size(path, len(model.class_list), model.feature_config.hash_dim)
     weights = np.ascontiguousarray(model.weights, dtype="<f8")
     bias = np.ascontiguousarray(model.bias, dtype="<f8")
+    bitmap = np.empty(weights.shape[1] // 8, dtype=np.uint8)
+    for start in range(0, weights.shape[1], _BLOCK_COLS):
+        nonzero = weights[:, start : start + _BLOCK_COLS].view("<u8") != 0
+        bitmap[start // 8 : (start + _BLOCK_COLS) // 8] = np.packbits(
+            nonzero.any(axis=0), bitorder="little")
+
+    def payload():
+        yield bitmap
+        for row, cols in _row_blocks(bitmap, len(weights)):
+            yield weights[row].take(cols)
+        yield bias
+
+    crc = 0
+    for part in payload():
+        crc = zlib.crc32(part, crc)
     header = {
         "class_list": list(model.class_list),
         "feature_config": {
@@ -634,7 +702,7 @@ def save(model: TrainedClassifier, path: str) -> None:
             "hash": _HASH,
         },
         "n_classes": len(model.class_list),
-        "payload_crc32": zlib.crc32(bias, zlib.crc32(weights)),
+        "payload_crc32": crc,
         "training_log": model.training_log,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -643,15 +711,17 @@ def save(model: TrainedClassifier, path: str) -> None:
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(weights)
-        fh.write(bias)
+        for part in payload():
+            fh.write(part)
 
 
 def load(path: str) -> TrainedClassifier:
     """Read a model file back; bit-exact inverse of ``save``.
 
-    The payload is read straight into the array that ``weights`` and
-    ``bias`` are views of, so loading holds one copy of the weights.
+    Reads version 3, and version 2, which is version 3 with every column
+    stored and no bitmap. The stored weights are read a block of columns at
+    a time into a zero matrix, so besides that matrix loading holds one
+    block of weights and the columns ``_row_blocks`` keeps.
     """
     try:
         with open(path, "rb") as fh:
@@ -663,7 +733,7 @@ def load(path: str) -> TrainedClassifier:
                 raise ModelError(f"{path}: model version 1 hashed its n-grams with the"
                                  " featurizer of an older hatescan; the featurizer changed"
                                  " in version 2, so the model must be retrained")
-            if version != _VERSION:
+            if version not in (2, _VERSION):
                 raise ModelError(f"{path}: unsupported model version {version}")
             (header_len,) = struct.unpack("<I", head[8:12])
             header_bytes = fh.read(header_len)
@@ -680,31 +750,60 @@ def load(path: str) -> TrainedClassifier:
                 )
                 crc_expected = header["payload_crc32"]
                 hash_name = header["feature_config"]["hash"]
+                n_classes = header["n_classes"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise ModelError(f"{path}: corrupt header: {exc}") from exc
             if hash_name != _HASH:
                 raise ModelError(f"{path}: unknown n-gram hash {hash_name!r}")
+            k, dim = len(class_list), fc.hash_dim
+            if n_classes != k:
+                raise ModelError(f"{path}: header says n_classes {n_classes!r}"
+                                 f" but lists {k} classes")
+            _check_size(path, k, dim)
 
-            k = len(class_list)
             payload_len = os.fstat(fh.fileno()).st_size - 12 - header_len
-            expected_len = (k * fc.hash_dim + k) * 8
+            if version == 2:
+                bitmap, crc = np.full(dim // 8, 0xFF, dtype=np.uint8), 0
+            elif payload_len < dim // 8:
+                raise ModelError(f"{path}: weight payload is {payload_len} bytes,"
+                                 f" shorter than its {dim // 8}-byte column bitmap")
+            else:
+                bitmap = _read(fh, np.empty(dim // 8, dtype=np.uint8), path)
+                crc = zlib.crc32(bitmap)
+            step = _BLOCK_COLS // 8
+            stored = sum(np.count_nonzero(np.unpackbits(bitmap[i : i + step]))
+                         for i in range(0, len(bitmap), step))
+            expected_len = (version - 2) * len(bitmap) + (k * stored + k) * 8
             if payload_len != expected_len:
                 raise ModelError(
                     f"{path}: weight payload is {payload_len} bytes, expected {expected_len}"
                 )
-            values = np.empty(k * fc.hash_dim + k, dtype="<f8")
-            if fh.readinto(values) != expected_len:
-                raise ModelError(f"{path}: truncated weight payload")
+            weights = np.zeros((k, dim))
+            block = np.empty(min(dim, _BLOCK_COLS), dtype="<f8")
+            finite = True
+            for row, cols in _row_blocks(bitmap, k):
+                values = _read(fh, block[: len(cols)], path)
+                crc = zlib.crc32(values, crc)
+                finite = finite and bool(np.isfinite(values).all())
+                weights[row, cols] = values
+            bias = _read(fh, np.empty(k, dtype="<f8"), path)
     except OSError as exc:
         raise ModelError(f"cannot read model file: {exc}") from exc
 
-    if zlib.crc32(values) != crc_expected:
+    if zlib.crc32(bias, crc) != crc_expected:
         raise ModelError(f"{path}: checksum mismatch, file is corrupt")
-    values = values.astype(np.float64, copy=False)
-    return TrainedClassifier(
-        weights=values[: k * fc.hash_dim].reshape(k, fc.hash_dim),
-        bias=values[k * fc.hash_dim :],
+    if not finite:
+        raise ModelError(f"{path}: model weights contain NaN or Inf")
+    # every stored weight is finite and the rest are +0.0, so the model is
+    # built on no columns, which spares its finiteness check a pass over the
+    # whole matrix, and is then given its weights
+    model = TrainedClassifier(
+        weights=weights[:, :0],
+        bias=bias.astype(np.float64, copy=False),
         class_list=class_list,
         feature_config=fc,
         training_log=header.get("training_log", []),
     )
+    model.weights = weights
+    return model
+

@@ -6,6 +6,7 @@ import os
 import random
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -920,11 +921,11 @@ def test_load_refuses_a_version_1_file_and_says_to_retrain(tmp_path) -> None:
     assert "featurizer changed" in message and "retrained" in message
 
 
-def test_save_writes_version_2_and_the_hash_name(tmp_path) -> None:
+def test_save_writes_version_3_and_the_hash_name(tmp_path) -> None:
     path = tmp_path / "m.bin"
     save(_random_model(), path)
     blob = path.read_bytes()
-    assert blob[4:8] == (2).to_bytes(4, "little")
+    assert blob[4:8] == (3).to_bytes(4, "little")
     header = json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")])
     assert header["feature_config"]["hash"] == "poly64-splitmix64"
 
@@ -972,21 +973,41 @@ def test_load_rejects_a_zero_ngram_size(tmp_path) -> None:
         load(path)
 
 
+def _model_file(version: int, header: dict, payload: bytes) -> bytes:
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return (b"HSCM" + version.to_bytes(4, "little") + len(header_bytes).to_bytes(4, "little")
+            + header_bytes + payload)
+
+
+def _split_model_file(blob: bytes):
+    header_len = int.from_bytes(blob[8:12], "little")
+    return json.loads(blob[12 : 12 + header_len]), blob[12 + header_len :]
+
+
 def test_save_writes_the_little_endian_payload_and_its_crc(tmp_path) -> None:
     model = _random_model()
+    # column 1 is left out, column 2 is stored for its -0.0, column 3 for
+    # its one nonzero weight
+    model.weights[:, 1:4] = [[0.0, -0.0, 0.0], [0.0, 0.0, 1.5]]
     # a Fortran-ordered matrix is saved in row-major order all the same
     model.weights = np.asfortranarray(model.weights)
     path = tmp_path / "m.bin"
     save(model, path)
-    blob = path.read_bytes()
-    header_len = int.from_bytes(blob[8:12], "little")
-    payload = model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
-    assert blob[12 + header_len :] == payload
-    assert json.loads(blob[12 : 12 + header_len])["payload_crc32"] == zlib.crc32(payload)
+    header, payload = _split_model_file(path.read_bytes())
+    stored = np.ones(SMALL_FC.hash_dim, dtype=bool)
+    stored[1] = False
+    want = (np.packbits(stored, bitorder="little").tobytes()
+            + model.weights[:, stored].astype("<f8").tobytes()
+            + model.bias.astype("<f8").tobytes())
+    assert payload == want
+    assert payload[0] == 0b11111101
+    assert header["payload_crc32"] == zlib.crc32(want)
+    assert header["n_classes"] == 2
 
 
 def test_save_makes_no_copy_of_the_weights(tmp_path) -> None:
-    model = _random_classes(5, FeatureConfig())  # a 10 MB target model
+    # a 10 MB target model that stores every column
+    model = _random_classes(5, FeatureConfig())
     tracemalloc.start()
     try:
         save(model, tmp_path / "m.bin")
@@ -998,8 +1019,10 @@ def test_save_makes_no_copy_of_the_weights(tmp_path) -> None:
 
 def test_load_reads_the_payload_into_writeable_weight_arrays(tmp_path) -> None:
     path = tmp_path / "m.bin"
-    model = _random_classes(5, FeatureConfig())  # a 10 MB target model
+    # a 10 MB target model that stores every column
+    model = _random_classes(5, FeatureConfig())
     save(model, path)
+    # the dense weights and bias, which the file holds behind a 32 KB bitmap
     payload = model.weights.nbytes + model.bias.nbytes
     del model
     tracemalloc.start()
@@ -1023,13 +1046,159 @@ def test_load_reads_the_payload_into_writeable_weight_arrays(tmp_path) -> None:
 ])
 def test_load_names_a_payload_or_header_of_the_wrong_length(tmp_path, edit, message) -> None:
     path = tmp_path / "m.bin"
-    save(_random_model(), path)
-    full = (2 * SMALL_FC.hash_dim + 2) * 8
+    save(_random_model(), path)  # every column stored
+    full = SMALL_FC.hash_dim // 8 + (2 * SMALL_FC.hash_dim + 2) * 8
     path.write_bytes(edit(path.read_bytes()))
     want = message.format(short=full - 1, long=full + 1, full=full)
     with pytest.raises(ModelError) as info:
         load(path)
     assert str(info.value) == f"{path}: {want}"
+
+
+def test_load_names_a_bitmap_longer_than_the_payload(tmp_path) -> None:
+    path = tmp_path / "m.bin"
+    save(_random_model(), path)
+    header, _ = _split_model_file(path.read_bytes())
+    path.write_bytes(_model_file(3, header, bytes(SMALL_FC.hash_dim // 8 - 1)))
+    with pytest.raises(ModelError) as info:
+        load(path)
+    assert str(info.value) == (f"{path}: weight payload is {SMALL_FC.hash_dim // 8 - 1}"
+                               f" bytes, shorter than its {SMALL_FC.hash_dim // 8}-byte"
+                               " column bitmap")
+
+
+_ODD_WEIGHTS = np.array([-0.0, 5e-324, -5e-324, 2.0**-1050, 1e-310, 1.0, -3.25])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(["none", "some", "all"]),
+       st.integers(0, 2**32 - 1), st.sampled_from([8, 64, 2**14]), st.sampled_from([0, 40, 2**15]))
+def test_save_and_load_round_trip_bit_for_bit(tmp_path_factory, k, stored, seed, block,
+                                              kept) -> None:
+    rng = np.random.default_rng(seed)
+    dim = SMALL_FC.hash_dim
+    columns = {"none": np.zeros(dim, dtype=bool), "all": np.ones(dim, dtype=bool),
+               "some": rng.random(dim) < 0.1}[stored]
+    weights = np.zeros((k, dim))
+    # a stored column holds normal, subnormal and -0.0 weights, and may be
+    # +0.0 in every row but one
+    weights[:, columns] = rng.choice(_ODD_WEIGHTS, size=(k, int(columns.sum())))
+    weights[:, columns & (rng.random(dim) < 0.3)] *= 0.0  # keeps the sign
+    model = TrainedClassifier(weights=weights, bias=rng.choice(_ODD_WEIGHTS, size=k),
+                              class_list=tuple(f"c{i}" for i in range(k)),
+                              feature_config=SMALL_FC)
+    want = (weights.view(np.uint64) != 0).any(axis=0)
+    first, again = tmp_path_factory.mktemp("rt") / "a.bin", tmp_path_factory.mktemp("rt") / "b.bin"
+    save(model, first)
+    with mock.patch.object(hatescan.model, "_BLOCK_COLS", block), \
+            mock.patch.object(hatescan.model, "_KEPT_COLS", kept):
+        back = load(first)
+        save(back, again)
+    assert np.array_equal(back.weights.view(np.uint64), weights.view(np.uint64))
+    assert np.array_equal(back.bias.view(np.uint64), model.bias.view(np.uint64))
+    blob = first.read_bytes()
+    assert again.read_bytes() == blob
+    _, payload = _split_model_file(blob)
+    bitmap = np.frombuffer(payload[: dim // 8], dtype=np.uint8)
+    assert np.array_equal(np.unpackbits(bitmap, bitorder="little").astype(bool), want)
+    assert len(payload) == dim // 8 + (k * int(want.sum()) + k) * 8
+
+
+def test_load_reads_a_version_2_file_and_saves_it_as_version_3(tmp_path) -> None:
+    model = _random_model()
+    model.weights[:, 5] = 0.0
+    # version 2: the dense weights and the bias, with no bitmap
+    payload = model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
+    header = {"class_list": ["hate", "normal"], "feature_config": {
+        "char_ngrams": [3, 4, 5], "hash": "poly64-splitmix64", "hash_dim": 1024,
+        "hash_seed": 0, "word_ngrams": [1, 2]}, "n_classes": 2,
+        "payload_crc32": zlib.crc32(payload), "training_log": model.training_log}
+    v2 = tmp_path / "v2.bin"
+    v2.write_bytes(_model_file(2, header, payload))
+    back = load(v2)
+    assert np.array_equal(back.weights.view(np.uint64), model.weights.view(np.uint64))
+    assert np.array_equal(back.bias, model.bias)
+    assert back.training_log == model.training_log
+    v3 = tmp_path / "v3.bin"
+    save(back, v3)
+    save(model, tmp_path / "direct.bin")
+    assert v3.read_bytes() == (tmp_path / "direct.bin").read_bytes()
+    assert v3.read_bytes()[4:8] == (3).to_bytes(4, "little")
+
+
+def _one_column_model() -> TrainedClassifier:
+    weights = np.zeros((2, SMALL_FC.hash_dim))
+    weights[:, 0] = [0.5, -0.5]
+    return TrainedClassifier(weights=weights, bias=np.zeros(2), class_list=("hate", "normal"),
+                             feature_config=SMALL_FC)
+
+
+@pytest.mark.parametrize("where", ["bitmap", "values"])
+def test_load_refuses_a_flipped_byte_in_the_bitmap_or_the_values(tmp_path, where) -> None:
+    path = tmp_path / "m.bin"
+    save(_one_column_model(), path)
+    blob = bytearray(path.read_bytes())
+    header, payload = _split_model_file(bytes(blob))
+    at = len(blob) - len(payload)
+    if where == "bitmap":
+        # column 1 instead of column 0: the payload length still fits
+        assert blob[at] == 0b01
+        blob[at] = 0b10
+    else:
+        blob[at + SMALL_FC.hash_dim // 8 + 3] ^= 0x10
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelError, match="checksum"):
+        load(path)
+
+
+def test_load_refuses_a_stored_weight_that_is_not_finite(tmp_path) -> None:
+    path = tmp_path / "m.bin"
+    save(_one_column_model(), path)
+    header, payload = _split_model_file(path.read_bytes())
+    at = SMALL_FC.hash_dim // 8 + 8  # the second row's weight
+    payload = payload[:at] + np.array([np.nan], "<f8").tobytes() + payload[at + 8 :]
+    header["payload_crc32"] = zlib.crc32(payload)
+    path.write_bytes(_model_file(3, header, payload))
+    with pytest.raises(ModelError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: model weights contain NaN or Inf"
+
+
+def test_load_refuses_a_header_whose_n_classes_disagrees(tmp_path) -> None:
+    path = tmp_path / "m.bin"
+    save(_random_model(), path)
+    header, payload = _split_model_file(path.read_bytes())
+    header["n_classes"] = 3
+    path.write_bytes(_model_file(3, header, payload))
+    with pytest.raises(ModelError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: header says n_classes 3 but lists 2 classes"
+
+
+def test_load_refuses_an_oversized_model_before_allocating(tmp_path) -> None:
+    path = tmp_path / "m.bin"
+    save(_random_model(), path)
+    header, _ = _split_model_file(path.read_bytes())
+    header["feature_config"]["hash_dim"] = 2**40
+    path.write_bytes(_model_file(3, header, bytes(64)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError) as info:
+            load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (f"{path}: 2 classes x {2**40} columns is {2**41} weights,"
+                               f" more than the {2**26} a model file may hold")
+    assert peak < 2**20
+
+
+def test_save_refuses_a_model_over_the_weight_cap(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(hatescan.model, "_MAX_WEIGHTS", 2 * SMALL_FC.hash_dim - 1)
+    path = tmp_path / "m.bin"
+    with pytest.raises(ModelError, match=f"^{path}: 2 classes x 1024 columns"):
+        save(_random_model(), path)
+    assert not path.exists()
 
 
 def test_load_missing_file(tmp_path) -> None:
