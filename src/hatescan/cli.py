@@ -351,6 +351,12 @@ def cmd_train(args) -> int:
     if args.topic and not args.topics_out:
         raise UsageError("--topic needs --topics-out to store the topic model")
 
+    # checked before any data is read or any file written
+    hp = Hyperparams(batch_size=args.batch_size, max_epochs=args.epochs, learning_rate=args.lr,
+                     early_stop_patience=args.patience, weighted_loss=args.weighted,
+                     seed=args.seed, optimizer=args.optimizer)
+    fc = FeatureConfig(hash_dim=args.hash_dim)
+
     rows = _load_training_rows(args.infile, args.task, args.threshold,
                                args.keep_politician)
     train_rows, val_rows = split(
@@ -385,16 +391,6 @@ def cmd_train(args) -> int:
             for e, lab in zip(val_rows, val_labels)
         ]
 
-    hp = Hyperparams(
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        learning_rate=args.lr,
-        early_stop_patience=args.patience,
-        weighted_loss=args.weighted,
-        seed=args.seed,
-        optimizer=args.optimizer,
-    )
-    fc = FeatureConfig(hash_dim=args.hash_dim)
     model = train(train_rows, val_rows, hp, fc)
     model.training_log.append({"run_config": {
         "task": args.task,

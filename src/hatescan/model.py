@@ -16,17 +16,19 @@ words' hashes (words), salted per family, size and ``hash_seed``, put
 through splitmix64's finalizer and masked to ``hash_dim`` (the hashing trick
 of Weinberger et al., 2009). The pass counts every text's buckets with one
 ``np.unique``, and ``predict_batch`` scores the pass with one gather of its
-weight columns.
+weight columns, through a table from bucket to column.
 
-A model file leaves out the weight columns whose every weight is ``+0.0``
-and marks the rest in a bitmap. ``save`` and ``load`` handle the weights a
-block of columns at a time, so neither holds a second copy of them.
+A model holds only the weight columns it stores, in bucket order, and a
+bitmap of their buckets, and reads any other bucket's weights as ``+0.0``.
+A model file holds the same bitmap and weights, leaving out any column
+whose every weight is ``+0.0``; ``save`` writes each in one write and
+``load`` reads each in one read, straight into the model's arrays.
 
 Training runs on the hashed columns its texts touch, not on all ``hash_dim``
-of them, and writes the result into a full-width matrix at the end. That is
-exact: an untouched column has a zero gradient at every step, so Adam and
-SGD leave it at ``+0.0``, and every touched element goes through the same
-float operations in the same order as on full-width arrays.
+of them, and the model it returns stores just those columns. That is exact:
+an untouched column has a zero gradient at every step, so Adam and SGD
+leave it at ``+0.0``, and every touched element goes through the same float
+operations in the same order as on full-width arrays.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import random
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,10 +70,6 @@ _HASH = "poly64-splitmix64"
 # float64): a version-3 file does not bound them, since one bitmap bit
 # stands for a column of n_classes weights
 _MAX_WEIGHTS = 1 << 26
-# save and load handle the weight payload this many columns at a time
-_BLOCK_COLS = 1 << 14
-# and keep at most this many stored-column indices (256 KiB) across rows
-_KEPT_COLS = 1 << 15
 
 # a featurizing pass takes whole texts up to this many characters, counting
 # one more per text; a longer text is a pass of its own. At its peak a pass
@@ -156,7 +155,13 @@ class SparseVector:
 
 @dataclass
 class TrainedClassifier:
-    weights: np.ndarray  # (n_classes, hash_dim)
+    """A linear model over the hashed n-gram buckets it stores: the
+    read-only bitmap ``stored`` marks them (bit ``b`` for bucket ``b``, in
+    little-endian bit order, as in a model file), the ``j``-th stored bucket
+    has the weights ``weights[:, j]``, and any other bucket's are ``+0.0``."""
+
+    stored: np.ndarray  # (hash_dim // 8,) uint8
+    weights: np.ndarray  # (n_classes, number of stored buckets)
     bias: np.ndarray  # (n_classes,)
     class_list: tuple
     feature_config: FeatureConfig
@@ -167,14 +172,52 @@ class TrainedClassifier:
             raise ModelError("class_list must be non-empty")
         if len(set(self.class_list)) != len(self.class_list):
             raise ModelError("class_list contains duplicates")
+        dim, k = self.feature_config.hash_dim, len(self.class_list)
+        if not (isinstance(self.stored, np.ndarray) and self.stored.dtype == np.uint8
+                and self.stored.shape == (dim // 8,)):
+            raise ModelError(f"stored must be a uint8 bitmap of {dim // 8} bytes")
+        self.stored = self.stored.copy()
+        self.stored.flags.writeable = False  # scoring keeps a table built from it
+        m = int(np.count_nonzero(_marked(self.stored)))
+        if self.weights.shape != (k, m):
+            raise ModelError(f"weights have shape {self.weights.shape}, expected"
+                             f" {(k, m)} for {k} classes and {m} columns")
+        if self.bias.shape != (k,):
+            raise ModelError(f"bias has shape {self.bias.shape}, expected {(k,)}")
         # min and max carry any NaN and reach any infinity, without the
         # weight-sized temporary array that isfinite(...).all() makes
         if not all(np.isfinite(reduce(values, initial=0.0))
                    for values in (self.weights, self.bias) for reduce in (np.min, np.max)):
             raise ModelError("model weights contain NaN or Inf")
 
+    @property
+    def columns(self) -> np.ndarray:
+        """The sorted int64 ids of the stored buckets."""
+        return np.flatnonzero(_marked(self.stored)).astype(np.int64, copy=False)
+
     def predict(self, text: str):
         return predict(self, text)
+
+    def dense_weights(self) -> np.ndarray:
+        """The full ``(n_classes, hash_dim)`` weight matrix."""
+        dense = np.zeros((len(self.class_list), self.feature_config.hash_dim))
+        dense[:, _marked(self.stored)] = self.weights
+        return dense
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """Each bucket's column of ``weights``, or the number of columns for
+        a bucket not stored; built on the first scoring."""
+        marked = _marked(self.stored)
+        m = int(np.count_nonzero(marked))
+        table = np.full(len(marked), m, dtype=np.int32)
+        table[marked] = np.arange(m, dtype=np.int32)
+        return table
+
+
+def _marked(bitmap: np.ndarray) -> np.ndarray:
+    """The bitmap of a model file unpacked: one bool per bucket."""
+    return np.unpackbits(bitmap, bitorder="little").view(bool)
 
 
 def _groups(texts):
@@ -485,8 +528,9 @@ def train(
     disables early stopping and the final weights are returned.
 
     The weights and optimizer state span only the columns that some training
-    or validation text touches; the rest stay exactly ``+0.0``, so the model
-    is bit for bit the one a full-width optimizer would produce.
+    or validation text touches, and the model stores just those; the rest
+    stay exactly ``+0.0``, so the model is bit for bit the one a full-width
+    optimizer would produce.
     """
     if hp is None:
         hp = Hyperparams()
@@ -514,15 +558,10 @@ def train(
     # train on the touched columns only; searchsorted maps each index to its
     # position in cols and keeps every vector's indices sorted and unique, so
     # each gather and matmul sees the same values in the same order as on
-    # full-width weights. An in-place sort and a first-of-run mask find the
-    # columns; numpy 2's np.unique hashes them instead, which left more heap
-    # behind
-    cols = np.concatenate([vec.indices for vec in feats])
-    cols.sort()
-    first = np.empty(len(cols), dtype=bool)
-    first[:1] = True
-    np.not_equal(cols[1:], cols[:-1], out=first[1:])
-    cols = cols[first]
+    # full-width weights
+    stored = np.zeros(fc.hash_dim, dtype=bool)
+    stored[np.concatenate([vec.indices for vec in feats])] = True
+    cols = np.flatnonzero(stored)
     feats = [SparseVector(np.searchsorted(cols, vec.indices), vec.values, len(cols))
              for vec in feats]
     train_feats, val_feats = feats[: len(train_examples)], feats[len(train_examples) :]
@@ -569,11 +608,7 @@ def train(
 
     if val_examples:
         w, b = best_snapshot
-    full = np.zeros((len(class_list), fc.hash_dim))
-    full[:, cols] = w
-    return TrainedClassifier(
-        weights=full, bias=b, class_list=class_list, feature_config=fc, training_log=log
-    )
+    return TrainedClassifier(np.packbits(stored, bitorder="little"), w, b, class_list, fc, log)
 
 
 def predict(model: TrainedClassifier, text: str):
@@ -606,17 +641,23 @@ def _score(model: TrainedClassifier, buckets, values, bounds) -> list:
     feature vector ``buckets[bounds[i]:bounds[i + 1]]`` with those
     ``values``.
 
-    The pass's weight columns are gathered once, scaled by the values and
-    summed per text with ``np.add.reduceat``; a text without n-grams, for
-    which ``reduceat`` would return the element at its index, scores as the
-    bias alone. A row-wise softmax follows. The sums differ from a per-text
-    ``W[:, idx] @ vals`` only in the order of their additions.
+    The pass's weight columns are gathered once, through the model's
+    bucket-to-column table (see ``TrainedClassifier._table``), scaled by the
+    values, with the value of a bucket the model does not store taken as
+    zero, and summed per text with ``np.add.reduceat``; a text without
+    n-grams, for which ``reduceat`` would return the element at its index,
+    scores as the bias alone. A row-wise softmax follows. The sums differ
+    from a per-text ``W[:, idx] @ vals`` only in the order of their
+    additions (and in the sign of a sum of zeros, which the softmax does
+    not see).
     """
     logits = np.tile(model.bias, (len(bounds) - 1, 1))
     filled = np.flatnonzero(bounds[:-1] < bounds[1:])
-    if len(filled):
-        terms = model.weights.take(buckets, axis=1)
-        terms *= values
+    m = model.weights.shape[1]
+    if len(filled) and m:
+        columns = model._table.take(buckets)
+        terms = model.weights.take(columns, axis=1, mode="clip")
+        terms *= values * (columns < m)
         logits[filled] += np.add.reduceat(terms, bounds[filled], axis=1).T
         del terms
     logits -= logits.max(axis=1, keepdims=True)
@@ -624,34 +665,6 @@ def _score(model: TrainedClassifier, buckets, values, bounds) -> list:
     probs /= probs.sum(axis=1, keepdims=True)
     labels = [model.class_list[i] for i in probs.argmax(axis=1).tolist()]
     return list(zip(labels, probs))
-
-
-def _stored(bitmap: np.ndarray, start: int) -> np.ndarray:
-    """The stored columns of the block of columns at ``start``, in order."""
-    chunk = bitmap[start // 8 : (start + _BLOCK_COLS) // 8]
-    cols = np.flatnonzero(np.unpackbits(chunk, bitorder="little").view(bool))
-    cols += start
-    return cols
-
-
-def _row_blocks(bitmap: np.ndarray, rows: int):
-    """(row, stored columns) of each block of columns of each row, in
-    payload order.
-
-    The columns of the first blocks are kept for the later rows while they
-    number at most ``_KEPT_COLS`` in all, so a trained model, whose stored
-    columns are few, unpacks each block of its bitmap once.
-    """
-    kept, held = {}, 0
-    for row in range(rows):
-        for start in range(0, len(bitmap) * 8, _BLOCK_COLS):
-            cols = kept.get(start)
-            if cols is None:
-                cols = _stored(bitmap, start)
-                if held + len(cols) <= _KEPT_COLS:
-                    kept[start] = cols
-                    held += len(cols)
-            yield row, cols
 
 
 def _read(fh, array: np.ndarray, path) -> np.ndarray:
@@ -666,32 +679,31 @@ def _check_size(path, k: int, hash_dim: int) -> None:
                          f" weights, more than the {_MAX_WEIGHTS} a model file may hold")
 
 
-def save(model: TrainedClassifier, path: str) -> None:
+def _without_zero_columns(bitmap, weights):
+    """``(bitmap, weights)`` with the stored columns that hold ``+0.0`` in
+    every row left out; the same arrays if there are none."""
+    nonzero = weights.view("<u8").any(axis=0)
+    if nonzero.all():
+        return bitmap, weights
+    marked = _marked(bitmap)
+    marked[marked] = nonzero
+    return np.packbits(marked, bitorder="little"), weights.compress(nonzero, axis=1)
+
+
+def save(model: TrainedClassifier, path) -> None:
     """Write the versioned binary model file (little-endian, checksummed).
 
-    Only the weight columns with a nonzero bit pattern in some row are
-    stored, after a bitmap of them. The payload is checksummed and then
-    written a block of columns at a time, so besides the model's weights
-    saving holds one block of them and the columns ``_row_blocks`` keeps.
+    The model's bitmap and weights are written as they lie in memory, with
+    no copy of the weights, unless some stored column holds ``+0.0`` in
+    every row: the file leaves such a column out. The file is written under
+    a temporary name beside the target (through any symlink), given the
+    target's permissions if it exists, and renamed over it, so a save that
+    fails leaves any old file as it was.
     """
     _check_size(path, len(model.class_list), model.feature_config.hash_dim)
     weights = np.ascontiguousarray(model.weights, dtype="<f8")
+    bitmap, weights = _without_zero_columns(model.stored, weights)
     bias = np.ascontiguousarray(model.bias, dtype="<f8")
-    bitmap = np.empty(weights.shape[1] // 8, dtype=np.uint8)
-    for start in range(0, weights.shape[1], _BLOCK_COLS):
-        nonzero = weights[:, start : start + _BLOCK_COLS].view("<u8") != 0
-        bitmap[start // 8 : (start + _BLOCK_COLS) // 8] = np.packbits(
-            nonzero.any(axis=0), bitorder="little")
-
-    def payload():
-        yield bitmap
-        for row, cols in _row_blocks(bitmap, len(weights)):
-            yield weights[row].take(cols)
-        yield bias
-
-    crc = 0
-    for part in payload():
-        crc = zlib.crc32(part, crc)
     header = {
         "class_list": list(model.class_list),
         "feature_config": {
@@ -702,26 +714,34 @@ def save(model: TrainedClassifier, path: str) -> None:
             "hash": _HASH,
         },
         "n_classes": len(model.class_list),
-        "payload_crc32": crc,
+        "payload_crc32": zlib.crc32(bias, zlib.crc32(weights, zlib.crc32(bitmap))),
         "training_log": model.training_log,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        for part in payload():
-            fh.write(part)
+    target = os.path.realpath(os.fsdecode(path))
+    temporary = f"{target}.{os.urandom(6).hex()}.tmp"
+    fh = open(temporary, "xb")
+    try:
+        with fh:
+            for part in (_MAGIC, struct.pack("<II", _VERSION, len(header_bytes)), header_bytes,
+                         bitmap, weights, bias):
+                fh.write(part)
+        if os.path.exists(target):
+            os.chmod(temporary, os.stat(target).st_mode & 0o7777)
+        os.replace(temporary, target)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def load(path: str) -> TrainedClassifier:
     """Read a model file back; bit-exact inverse of ``save``.
 
     Reads version 3, and version 2, which is version 3 with every column
-    stored and no bitmap. The stored weights are read a block of columns at
-    a time into a zero matrix, so besides that matrix loading holds one
-    block of weights and the columns ``_row_blocks`` keeps.
+    stored and no bitmap. The model holds the bitmap and weights of the
+    file, each read in one read into the model's own array; a version-2
+    file's columns of ``+0.0`` in every row are then left out, as a
+    version-3 file of the same weights leaves them out.
     """
     try:
         with open(path, "rb") as fh:
@@ -763,47 +783,30 @@ def load(path: str) -> TrainedClassifier:
 
             payload_len = os.fstat(fh.fileno()).st_size - 12 - header_len
             if version == 2:
-                bitmap, crc = np.full(dim // 8, 0xFF, dtype=np.uint8), 0
+                bitmap, m, crc = np.full(dim // 8, 0xFF, dtype=np.uint8), dim, 0
             elif payload_len < dim // 8:
                 raise ModelError(f"{path}: weight payload is {payload_len} bytes,"
                                  f" shorter than its {dim // 8}-byte column bitmap")
             else:
                 bitmap = _read(fh, np.empty(dim // 8, dtype=np.uint8), path)
-                crc = zlib.crc32(bitmap)
-            step = _BLOCK_COLS // 8
-            stored = sum(np.count_nonzero(np.unpackbits(bitmap[i : i + step]))
-                         for i in range(0, len(bitmap), step))
-            expected_len = (version - 2) * len(bitmap) + (k * stored + k) * 8
+                m, crc = int(np.count_nonzero(_marked(bitmap))), zlib.crc32(bitmap)
+            expected_len = (version - 2) * dim // 8 + (k * m + k) * 8
             if payload_len != expected_len:
                 raise ModelError(
                     f"{path}: weight payload is {payload_len} bytes, expected {expected_len}"
                 )
-            weights = np.zeros((k, dim))
-            block = np.empty(min(dim, _BLOCK_COLS), dtype="<f8")
-            finite = True
-            for row, cols in _row_blocks(bitmap, k):
-                values = _read(fh, block[: len(cols)], path)
-                crc = zlib.crc32(values, crc)
-                finite = finite and bool(np.isfinite(values).all())
-                weights[row, cols] = values
+            weights = _read(fh, np.empty((k, m), dtype="<f8"), path)
             bias = _read(fh, np.empty(k, dtype="<f8"), path)
     except OSError as exc:
         raise ModelError(f"cannot read model file: {exc}") from exc
 
-    if zlib.crc32(bias, crc) != crc_expected:
+    if zlib.crc32(bias, zlib.crc32(weights, crc)) != crc_expected:
         raise ModelError(f"{path}: checksum mismatch, file is corrupt")
-    if not finite:
-        raise ModelError(f"{path}: model weights contain NaN or Inf")
-    # every stored weight is finite and the rest are +0.0, so the model is
-    # built on no columns, which spares its finiteness check a pass over the
-    # whole matrix, and is then given its weights
-    model = TrainedClassifier(
-        weights=weights[:, :0],
-        bias=bias.astype(np.float64, copy=False),
-        class_list=class_list,
-        feature_config=fc,
-        training_log=header.get("training_log", []),
-    )
-    model.weights = weights
-    return model
-
+    if version == 2:
+        bitmap, weights = _without_zero_columns(bitmap, weights)
+    try:
+        return TrainedClassifier(bitmap, weights.astype(np.float64, copy=False),
+                                 bias.astype(np.float64, copy=False), class_list, fc,
+                                 header.get("training_log", []))
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from exc

@@ -203,5 +203,16 @@ def dense_train(train_examples, val_examples, hp: Hyperparams, fc: FeatureConfig
             break
     if val_examples:
         w, b = best
-    return TrainedClassifier(weights=w, bias=b, class_list=class_list,
-                             feature_config=fc, training_log=log)
+    return dense_classifier(w, b, class_list, fc, log)
+
+
+def dense_classifier(weights, bias, class_list, feature_config: FeatureConfig,
+                     training_log=None) -> TrainedClassifier:
+    """The model of a full ``(n_classes, hash_dim)`` weight matrix. It
+    stores the columns with a nonzero bit pattern in some row, the ones a
+    model file stores."""
+    weights = np.asarray(weights, dtype=np.float64)
+    stored = weights.view(np.uint64).any(axis=0)
+    return TrainedClassifier(np.packbits(stored, bitorder="little"),
+                             weights.compress(stored, axis=1), bias, class_list,
+                             feature_config, [] if training_log is None else training_log)

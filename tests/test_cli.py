@@ -307,6 +307,16 @@ def test_train_topic_without_topics_out_is_usage_error(tmp_path):
                  "--out", str(tmp_path / "m.bin"), "--topic"]) == 1
 
 
+def test_train_refuses_a_bad_hash_dim_before_fitting_topics(tmp_path, capsys):
+    data = tmp_path / "target.jsonl"
+    write_target_examples(str(data), per_class=20)
+    out, topics_out = tmp_path / "model.bin", tmp_path / "topics.json"
+    assert main(["train", "--task", "target", "--in", str(data), "--out", str(out),
+                 "--topic", "--topics-out", str(topics_out), "--hash-dim", "1000"]) == 1
+    assert "hash_dim must be a power of two" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["target.jsonl"]
+
+
 def test_train_backtranslate_with_script(tmp_path):
     rows = [LabeledExample("hello world", "hate", "s") for _ in range(4)]
     rows += [LabeledExample(f"some other text {i}", "normal", "s")
