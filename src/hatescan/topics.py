@@ -1,6 +1,6 @@
 """Unsupervised topic discovery over normalized texts.
 
-The building blocks: an embedder (TF-IDF plus seeded random projection by
+The building blocks: an embedder (TF-IDF times one seeded random matrix by
 default, anything with an ``embed`` method otherwise), a density clusterer
 with a minimum cluster size and an outlier label of -1, frequency-based topic
 naming, and a brute-force parameter tuner that minimizes the outlier count.
@@ -10,15 +10,16 @@ and append topic words to an input text for topic-aware training.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, ModelError
+from .model import _groups
 from .normalize import default_config
 
 logger = logging.getLogger(__name__)
@@ -64,70 +65,60 @@ class ClusterParams:
 class TfidfProjectionEmbedder:
     """TF-IDF unigram vectors projected to a fixed dimension.
 
-    Each vocabulary term owns a pseudo-random direction derived from a hash of
-    (term, seed), so embeddings are reproducible across runs and platforms
-    with no stored projection matrix. The IDF table freezes on the first
-    ``embed`` call; later calls reuse it, which keeps "same text, same
-    vector" true at assignment time. Unseen terms embed as zero contribution.
-    """
+    The IDF table freezes on the first ``embed`` call or comes from a topic
+    file. Its sorted term ``i`` owns row ``i`` of one matrix, rebuilt from the
+    table as ``default_rng(seed).standard_normal((terms, dim)) / sqrt(dim)``.
+    A text embeds as the unit-length sum of ``count * idf * row`` over its
+    terms in the table, or as zero if it has none."""
 
     def __init__(self, dim: int = 64, seed: int = 0):
         if dim < 2:
             raise ValueError("dim must be at least 2")
         self.dim = dim
         self.seed = seed
-        self._idf: dict[str, float] | None = None
-        self._directions: dict[str, np.ndarray] = {}
+        self._rows: dict[str, int] | None = None
 
-    def _direction(self, term: str) -> np.ndarray:
-        vec = self._directions.get(term)
-        if vec is None:
-            digest = hashlib.blake2b(
-                term.encode("utf-8"), digest_size=8,
-                salt=self.seed.to_bytes(8, "little", signed=True),
-            ).digest()
-            rng = np.random.default_rng(int.from_bytes(digest, "little"))
-            vec = rng.standard_normal(self.dim) / math.sqrt(self.dim)
-            self._directions[term] = vec
-        return vec
-
-    def _fit_idf(self, docs: list[list[str]]) -> None:
-        n = len(docs)
-        df: dict[str, int] = {}
-        for tokens in docs:
-            for term in set(tokens):
-                df[term] = df.get(term, 0) + 1
-        self._idf = {t: math.log((1 + n) / (1 + c)) + 1.0 for t, c in df.items()}
+    def _freeze(self, idf: dict) -> None:
+        self._rows = {term: i for i, term in enumerate(sorted(idf))}
+        self._idf = np.array([idf[term] for term in self._rows], dtype=np.float64)
+        self._matrix = np.random.default_rng(self.seed).standard_normal((len(idf), self.dim))
+        self._matrix /= math.sqrt(self.dim)
 
     def embed(self, texts) -> np.ndarray:
-        docs = [str(t).split() for t in texts]
-        if self._idf is None:
-            self._fit_idf(docs)
-        out = np.zeros((len(docs), self.dim))
-        for row, tokens in enumerate(docs):
-            counts: dict[str, int] = {}
-            for term in tokens:
-                counts[term] = counts.get(term, 0) + 1
-            for term, count in counts.items():
-                idf = self._idf.get(term)
-                if idf is None:
-                    continue
-                out[row] += count * idf * self._direction(term)
-            norm = np.linalg.norm(out[row])
-            if norm > 0:
-                out[row] /= norm
-        return out
+        """A pass of texts (``model._groups``) counts its (text, term) pairs with
+        one ``np.unique`` and sums their scaled rows with ``np.add.reduceat``."""
+        texts = [str(t) for t in texts]
+        if self._rows is None:
+            df = Counter(term for text in texts for term in set(text.split()))
+            self._freeze({t: math.log((1 + len(texts)) / (1 + c)) + 1.0 for t, c in df.items()})
+        vocab = len(self._rows)
+        out = np.zeros((len(texts), self.dim))
+        first = 0
+        for group in _groups(texts):
+            keys = np.array([i * vocab + row for i, text in enumerate(group, first)
+                             for term in text.split()
+                             if (row := self._rows.get(term)) is not None], dtype=np.int64)
+            first += len(group)
+            if len(keys):
+                keys, counts = np.unique(keys, return_counts=True)
+                present, starts = np.unique(keys // vocab, return_index=True)
+                keys %= vocab
+                terms = self._matrix[keys]
+                terms *= (counts * self._idf[keys])[:, None]
+                out[present] = np.add.reduceat(terms, starts)
+        norms = np.linalg.norm(out, axis=1, keepdims=True)
+        return np.divide(out, norms, out=out, where=norms > 0)
 
     def to_config(self) -> dict:
-        if self._idf is None:
+        if self._rows is None:
             raise ModelError("embedder not fitted yet")
         return {"kind": "tfidf_projection", "dim": self.dim, "seed": self.seed,
-                "idf": self._idf}
+                "idf": dict(zip(self._rows, self._idf.tolist()))}
 
     @classmethod
     def from_config(cls, config: dict) -> "TfidfProjectionEmbedder":
         emb = cls(dim=int(config["dim"]), seed=int(config["seed"]))
-        emb._idf = {str(k): float(v) for k, v in config["idf"].items()}
+        emb._freeze({str(k): float(v) for k, v in config["idf"].items()})
         return emb
 
 
@@ -371,18 +362,13 @@ def assign_topics(model: TopicModel, texts) -> list:
         return [OUTLIER] * len(texts)
     vectors = np.asarray(model.embedder.embed(texts), dtype=np.float64)
     topic_ids = sorted(model.centroids)
-    matrix = np.stack([model.centroids[t] for t in topic_ids])
-    out = []
-    for vec in vectors:
-        if not np.any(vec):
-            # no corpus vocabulary at all: no evidence for any topic
-            out.append(OUTLIER)
-            continue
-        dists = np.sqrt(((matrix - vec) ** 2).sum(axis=1))
-        best = int(np.argmin(dists))
-        label = topic_ids[best]
-        out.append(label if dists[best] <= model.ceilings[label] + 1e-12 else OUTLIER)
-    return out
+    dists = np.stack([np.sqrt(((vectors - model.centroids[t]) ** 2).sum(axis=1))
+                      for t in topic_ids])
+    best = dists.argmin(axis=0)
+    ceilings = np.array([model.ceilings[t] for t in topic_ids])[best]
+    # a text with no corpus vocabulary at all has no evidence for any topic
+    near = (dists.min(axis=0) <= ceilings + 1e-12) & vectors.any(axis=1)
+    return np.where(near, np.array(topic_ids)[best], OUTLIER).tolist()
 
 
 def assign_topic(model: TopicModel, text: str) -> int:
@@ -407,7 +393,7 @@ def save_topics(model: TopicModel, path: str) -> None:
     if model.embedder is None or not hasattr(model.embedder, "to_config"):
         raise ModelError("only embedders exposing to_config() can be serialized")
     doc = {
-        "version": 1,
+        "version": 2,
         "labels": list(model.labels),
         "names": {str(k): v for k, v in model.names.items()},
         "name_words": {str(k): list(v) for k, v in model.name_words.items()},
@@ -424,6 +410,7 @@ def save_topics(model: TopicModel, path: str) -> None:
 
 
 def load_topics(path: str) -> TopicModel:
+    """Read a version-2 topic file; one that could not assign raises ModelError."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -432,12 +419,15 @@ def load_topics(path: str) -> TopicModel:
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        if doc["version"] != 1:
+        if doc["version"] == 1:
+            raise ModelError(f"{path}: topic model version 1 hashed each term to a direction;"
+                             " the embedder changed, so the topic model must be refit")
+        if doc["version"] != 2:
             raise ModelError(f"{path}: unsupported topic model version {doc['version']}")
         emb_cfg = doc["embedder"]
         if emb_cfg.get("kind") != "tfidf_projection":
             raise ModelError(f"{path}: unknown embedder kind {emb_cfg.get('kind')!r}")
-        return TopicModel(
+        model = TopicModel(
             labels=tuple(int(x) for x in doc["labels"]),
             names={int(k): str(v) for k, v in doc["names"].items()},
             params=ClusterParams(**doc["params"]),
@@ -449,3 +439,12 @@ def load_topics(path: str) -> TopicModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: corrupt topic model: {exc}") from exc
+    if any(c.shape != (model.embedder.dim,) for c in model.centroids.values()):
+        raise ModelError(f"{path}: a centroid's length is not the embedder's dim"
+                         f" {model.embedder.dim}")
+    if model.centroids.keys() != model.ceilings.keys():
+        raise ModelError(f"{path}: the centroid and ceiling topic ids differ")
+    values = [model.embedder._idf, *model.centroids.values(), [*model.ceilings.values()]]
+    if not all(np.isfinite(v).all() for v in values):
+        raise ModelError(f"{path}: a non-finite idf, centroid or ceiling value")
+    return model

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -216,3 +218,25 @@ def dense_classifier(weights, bias, class_list, feature_config: FeatureConfig,
     return TrainedClassifier(np.packbits(stored, bitorder="little"),
                              weights.compress(stored, axis=1), bias, class_list,
                              feature_config, [] if training_log is None else training_log)
+
+
+def reference_embed(embedder, texts) -> np.ndarray:
+    """Reference ``TfidfProjectionEmbedder.embed`` on a fitted embedder, one
+    text at a time: the sum of ``count * idf * row`` over the text's terms in
+    the frozen IDF table, where sorted term ``i`` has row ``i`` of
+    ``default_rng(seed).standard_normal((terms, dim)) / sqrt(dim)``, divided
+    by its norm unless it is zero."""
+    idf = embedder.to_config()["idf"]
+    terms = sorted(idf)
+    matrix = (np.random.default_rng(embedder.seed).standard_normal((len(terms), embedder.dim))
+              / math.sqrt(embedder.dim))
+    row_of = {term: i for i, term in enumerate(terms)}
+    out = np.zeros((len(texts), embedder.dim))
+    for vec, text in zip(out, texts):
+        for term, count in Counter(text.split()).items():
+            if term in idf:
+                vec += count * idf[term] * matrix[row_of[term]]
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+    return out

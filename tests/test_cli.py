@@ -438,6 +438,44 @@ def test_run_with_a_version_1_model_is_a_model_error(tmp_path, capsys):
     assert not (tmp_path / "d.json").exists()
 
 
+def damaged_topic_file(tmp_path, damage):
+    topics = tmp_path / "topics.json"
+    assert main(["topics", "fit", "--in", topic_corpus_file(tmp_path),
+                 "--out", str(topics)]) == 0
+    doc = json.loads(topics.read_text(encoding="utf-8"))
+    damage(doc)
+    topics.write_text(json.dumps(doc), encoding="utf-8")
+    return str(topics)
+
+
+def run_with_topics(tmp_path, topics):
+    return main(["run", "--corpus", corpus_file(tmp_path), "--out", str(tmp_path / "d.json"),
+                 "--detector", trained_detector(tmp_path),
+                 "--target-model", trained_target_model(tmp_path), "--topics", topics])
+
+
+def test_run_with_a_cut_topic_centroid_is_a_model_error(tmp_path, capsys):
+    def cut(doc):
+        topic = next(iter(doc["centroids"]))
+        doc["centroids"][topic] = doc["centroids"][topic][:10]
+
+    topics = damaged_topic_file(tmp_path, cut)
+    capsys.readouterr()
+    assert run_with_topics(tmp_path, topics) == 3
+    assert "a centroid's length is not the embedder's dim 64" in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_run_with_a_version_1_topic_file_asks_for_a_refit(tmp_path, capsys):
+    topics = damaged_topic_file(tmp_path, lambda doc: doc.update(version=1))
+    capsys.readouterr()
+    assert run_with_topics(tmp_path, topics) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"model error: {topics}: topic model version 1 ")
+    assert "so the topic model must be refit" in err
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_plain_text_corpus_streams_after_an_eager_open(tmp_path):
     from hatescan.cli import _read_texts
 
