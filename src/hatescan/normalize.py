@@ -10,6 +10,13 @@ tokens and never looks across the whitespace around it. ``NormalizerConfig``
 refuses the tables that would break this (whitespace in a placeholder or an
 emoji key, a whitespace folding key), so ``normalize`` splits a post once
 and runs each token through all the stages in one go.
+
+The language filter is token-local too: ``is_english`` counts the tokens
+whose stripped, lowercased form is a stopword. ``normalize_english`` is the
+batch path the scan takes. It filters and normalizes a list of posts with
+one memo, private to the call, from each raw token to its stopword flag and
+its normalized form, so a token repeated across posts is processed once. Its
+result equals ``normalize(t) if is_english(t) else None`` for each text.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 from weakref import WeakKeyDictionary
 
 __all__ = [
@@ -31,6 +38,7 @@ __all__ = [
     "replace_entities",
     "demojize",
     "normalize",
+    "normalize_english",
 ]
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -203,21 +211,25 @@ def default_config() -> NormalizerConfig:
     return NormalizerConfig()
 
 
-def is_english(text: str, config: NormalizerConfig | None = None) -> bool:
+def is_english(text: str, config: NormalizerConfig | None = None,
+               _memo: "_Memo | None" = None) -> bool:
     """Heuristic language filter based on stopword density.
 
     A text is kept when at least ``english_threshold`` of its whitespace
     tokens are English stopwords. Texts under 3 tokens carry too little
-    signal and default to True.
+    signal and default to True. ``_memo`` is ``normalize_english``'s, built
+    for the same config.
     """
     if config is None:
         config = default_config()
-    tokens = text.split()
+    tokens = text.split() if _memo is None else _memo.split(text)
     if len(tokens) < 3:
         return True
-    hits = sum(
-        1 for t in tokens if t.strip(string.punctuation).lower() in config.english_stopword_set
-    )
+    if _memo is None:
+        hits = sum(1 for t in tokens
+                   if t.strip(string.punctuation).lower() in config.english_stopword_set)
+    else:
+        hits = _memo.stopword_hits(tokens)
     return hits / len(tokens) >= config.english_threshold
 
 
@@ -321,7 +333,8 @@ def _normalize_token(token: str, rules: _CompiledRules) -> str:
     return " ".join(pieces)
 
 
-def normalize(text: str, config: NormalizerConfig | None = None) -> NormalizedText:
+def normalize(text: str, config: NormalizerConfig | None = None,
+              _memo: "_Memo | None" = None) -> NormalizedText:
     """Run the full normalization pipeline over one text.
 
     Stages, in order: entity replacement, lowercasing (placeholders exempt),
@@ -334,8 +347,82 @@ def normalize(text: str, config: NormalizerConfig | None = None) -> NormalizedTe
     tables it accepts. So the text is split once, each token runs through
     all the stages in one go, and the non-empty results are joined with
     single spaces. The output is the same as running each stage over the
-    whole text in turn.
+    whole text in turn. ``_memo`` is ``normalize_english``'s, built for the
+    same config.
     """
+    if _memo is not None:
+        return NormalizedText(" ".join(_memo.normalized_tokens(_memo.split(text))))
     rules = _compiled(config or default_config())
     return NormalizedText(" ".join(filter(None, [_normalize_token(token, rules)
                                                  for token in text.split()])))
+
+
+class _Memo:
+    """What one ``normalize_english`` call learns about raw tokens.
+
+    ``stopword`` and ``normalized`` map each raw token to its stopword flag
+    and to its ``_normalize_token`` form, each computed at the token's first
+    lookup, and ``split`` keeps the last text's tokens, so that
+    ``is_english`` and ``normalize`` split a post once between them.
+    """
+
+    __slots__ = ("stopwords", "rules", "stopword", "normalized", "_text", "_tokens")
+
+    def __init__(self, config: NormalizerConfig):
+        self.stopwords = config.english_stopword_set
+        self.rules = _compiled(config)
+        self.stopword: dict = {}
+        self.normalized: dict = {}
+        self._text = self._tokens = None
+
+    def split(self, text: str) -> list:
+        if self._tokens is None or text is not self._text:
+            self._tokens = text.split()
+            self._text = text
+        return self._tokens
+
+    def stopword_hits(self, tokens: list) -> int:
+        flags, stopwords = self.stopword, self.stopwords
+        hits = 0
+        for token in tokens:
+            flag = flags.get(token)
+            if flag is None:
+                flag = flags[token] = token.strip(string.punctuation).lower() in stopwords
+            hits += flag
+        return hits
+
+    def normalized_tokens(self, tokens: list) -> list:
+        """The non-empty normalized forms of ``tokens``, in order."""
+        forms, rules = self.normalized, self.rules
+        out = []
+        for token in tokens:
+            form = forms.get(token)
+            if form is None:
+                form = forms[token] = _normalize_token(token, rules)
+            if form:
+                out.append(form)
+        return out
+
+
+def normalize_english(texts: Iterable[str], config: NormalizerConfig | None = None
+                      ) -> list[NormalizedText | None]:
+    """``normalize(text, config)`` for each text that ``is_english`` keeps,
+    and None for each one it excludes, in input order.
+
+    A token's stopword flag and its normalized form depend on that token
+    alone, so one memo, private to this call, holds both for every raw token.
+    Each post is split once, each distinct token is tested once, and each
+    distinct token of an English post is normalized once; a token found
+    only in excluded posts is never normalized. The memo grows with the
+    distinct tokens of ``texts`` and is gone when the call returns, so it
+    needs no cap and nothing carries over to the next call. The result
+    equals ``[normalize(t, config) if is_english(t, config) else None for t
+    in texts]``, and an exception raised for any text propagates.
+    """
+    if config is None:
+        config = default_config()
+    memo = _Memo(config)
+    # each post still goes through the public functions, so whatever wraps
+    # them sees every post
+    return [normalize(text, config, memo) if is_english(text, config, memo) else None
+            for text in texts]

@@ -1,12 +1,16 @@
 """Two-stage orchestration: detect hate, then classify its target.
 
-A corpus is scanned a batch at a time: each batch's English posts are
-normalized and scored by the detector in one pass, and only the posts
-flagged as hateful reach the target model, in a second pass. With a topic
-model, those posts get their topics in one assignment call and each has its
-topic's words appended first. Counts aggregate into a TargetDistribution
-(see ``distribution``, re-exported here) that reports both the hate rate
-and the per-target makeup of the hateful slice.
+A corpus is scanned a batch at a time. Each batch goes through one
+``normalize_english`` call, which drops the non-English posts and
+normalizes the rest with one memo for the batch, so a token repeated across
+its posts is filtered and normalized once; the result equals
+``is_english`` and ``normalize`` post by post. The English posts are
+scored by the detector in one pass, and only the posts flagged as hateful
+reach the target model, in a second pass. With a topic model, those posts
+get their topics in one assignment call and each has its topic's words
+appended first. Counts aggregate into a TargetDistribution (see
+``distribution``, re-exported here) that reports both the hate rate and the
+per-target makeup of the hateful slice.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -31,7 +34,7 @@ from .distribution import (
 )
 from .model import TrainedClassifier, predict_batch
 from .model import load as load_model
-from .normalize import is_english, normalize
+from .normalize import normalize, normalize_english
 
 logger = logging.getLogger(__name__)
 
@@ -195,22 +198,33 @@ def _classify_batch(texts: list, pipeline: Pipeline):
     return results, detect_s, target_s
 
 
+def _normalized(texts: list) -> list:
+    """``normalize_english`` of the texts: each one's normalized form, None
+    if it is excluded, or the exception that stopped it.
+
+    The whole batch goes through one call, so each distinct token is
+    filtered and normalized once. If that call raises, each text is
+    normalized on its own, so only the texts that raise fail.
+    """
+    try:
+        return normalize_english(texts)
+    except Exception as exc:  # noqa: BLE001 - normalized text by text
+        logger.debug("batch normalization failed, normalizing text by text: %s", exc)
+    return [_attempt(lambda t: normalize_english([t])[0], text) for text in texts]
+
+
 def _scan_batch(batch: list, pipeline: Pipeline):
     """(kind, target) of each post of a batch in input order, plus the
     detector and target-model seconds; kind is hate, normal, excluded or
     failed."""
     outcomes = [("failed", None)] * len(batch)
     english, texts = [], []
-    for i, post in enumerate(batch):
-        text = getattr(post, "text", post)
-        try:
-            if not is_english(text):
-                outcomes[i] = ("excluded", None)
-                continue
-            texts.append(str(normalize(text)))
+    for i, text in enumerate(_normalized([getattr(post, "text", post) for post in batch])):
+        if text is None:
+            outcomes[i] = ("excluded", None)
+        elif not isinstance(text, Exception):
+            texts.append(str(text))
             english.append(i)
-        except Exception as exc:  # noqa: BLE001 - per-post resilience
-            logger.debug("post failed: %s", exc)
     results, detect_s, target_s = _classify_batch(texts, pipeline)
     for i, result in zip(english, results):
         if not isinstance(result, Exception):
@@ -234,9 +248,12 @@ def run_corpus(posts, pipeline: Pipeline, workers: int = 1) -> TargetDistributio
     stage. With ``workers`` > 1 a thread pool scores up to ``workers``
     batches at once, so at most ``workers * batch_size`` posts are held;
     threads pay off for a backend that releases the GIL, and gain little
-    for the bundled classifier, whose scoring mostly holds it. Non-English posts are excluded up front; per-post failures
-    are counted, never fatal. Aggregation is pure counting, so the result
-    does not depend on batch size or worker scheduling.
+    for the bundled classifier, whose scoring mostly holds it. Non-English
+    posts are excluded up front; per-post failures are counted, never
+    fatal. Each batch's normalize memo lives for that batch only, in the
+    thread that scans it, so nothing carries over between batches or runs.
+    Aggregation is pure counting, so the result does not depend on batch
+    size or worker scheduling.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -245,7 +262,11 @@ def run_corpus(posts, pipeline: Pipeline, workers: int = 1) -> TargetDistributio
     detect_time = 0.0
     target_time = 0.0
     scan = partial(_scan_batch, pipeline=pipeline)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
     try:
         for group in _batches(_batches(posts, pipeline.batch_size), workers):
             scanned = pool.map(scan, group) if pool else map(scan, group)

@@ -11,6 +11,7 @@ from hatescan.normalize import (
     demojize,
     is_english,
     normalize,
+    normalize_english,
     replace_entities,
 )
 
@@ -184,6 +185,36 @@ POSTS = st.lists(st.tuples(st.sampled_from(FRAGMENTS), st.sampled_from(SEPARATOR
 @given(st.one_of(POSTS, st.text()))
 def test_normalize_matches_staged_reference(config, text: str) -> None:
     assert str(normalize(text, config)) == str(reference_normalize(text, config))
+
+
+# fragments and stopwords joined by single spaces: English posts and not,
+# and posts under 3 tokens. A batch draws a few texts again, whole, so that
+# texts as well as tokens repeat across it
+WORDS = st.one_of(st.sampled_from(FRAGMENTS),
+                  st.sampled_from(["the", "The", "AND", "of,", "(is)", "we", "it's"]))
+TEXTS = st.one_of(POSTS, st.lists(WORDS, max_size=12).map(" ".join),
+                  st.lists(WORDS, max_size=2).map(" ".join))
+BATCHES = st.lists(TEXTS, min_size=1, max_size=5).flatmap(
+    lambda drawn: st.lists(st.one_of(st.sampled_from(drawn), TEXTS), max_size=12))
+
+
+@pytest.mark.parametrize("config", [default_config(), CUSTOM_CONFIG], ids=["default", "custom"])
+@settings(max_examples=300, deadline=None)
+@given(BATCHES)
+def test_normalize_english_matches_per_post_calls(config, texts: list) -> None:
+    want = [normalize(t, config) if is_english(t, config) else None for t in texts]
+    got = normalize_english(texts, config)
+    assert got == want
+    assert [type(text) for text in got] == [type(text) for text in want]
+
+
+def test_normalize_english_examples() -> None:
+    texts = ["The cat is on THE mat", "das ist doch wirklich gut", "", "no stopwords",
+             "The cat is on THE mat"]
+    assert normalize_english(texts) == ["the cat is on the mat", None, "", "no stopwords",
+                                        "the cat is on the mat"]
+    with pytest.raises(AttributeError):
+        normalize_english(["the cat is here", None])
 
 
 def test_custom_config_reaches_every_stage() -> None:

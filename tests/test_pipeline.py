@@ -1,7 +1,10 @@
 """Two-stage orchestration, distribution accounting and report rendering."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -540,3 +543,73 @@ def test_a_failed_topic_batch_is_assigned_text_by_text(trained_pipeline,
     assert (dist.hateful_posts, dist.normal_posts, dist.excluded_posts,
             dist.per_target) == (expected.hateful_posts, expected.normal_posts,
                                  expected.excluded_posts, expected.per_target)
+
+
+# ------------------------------------------------------------ batched normalization
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_a_post_that_is_not_text_fails_alone(batch_size, workers):
+    posts = planted_corpus()
+    posts.insert(12, None)
+    posts.insert(58, 404)
+    detector = marker_detector()
+    pipe = Pipeline(detector=detector, target_model=marker_target(),
+                    batch_size=batch_size)
+    dist = run_corpus(posts, pipe, workers=workers)
+    assert dist.total_posts == 102
+    assert dist.failed_posts == 2
+    assert dist.excluded_posts == 0
+    assert dist.normal_posts == 70
+    assert dist.per_target == {"African": 15, "Islam": 9, "Other": 6,
+                               "Jewish": 0, "LGBT": 0}
+    assert detector.calls == 100
+
+
+def english_tokens(posts):
+    return Counter({token for text in posts if is_english(text) for token in text.split()})
+
+
+def test_a_batch_normalizes_each_distinct_english_token_once(monkeypatch):
+    import hatescan.normalize as normalize_module
+
+    calls = Counter()
+    real = normalize_module._normalize_token
+
+    def spy(token, rules):
+        calls[token] += 1
+        return real(token, rules)
+
+    monkeypatch.setattr(normalize_module, "_normalize_token", spy)
+    foreign = [f"das ist doch wirklich ganz furchtbar schlimm {i}" for i in range(5)]
+    posts = planted_corpus() + foreign
+    assert not any(is_english(text) for text in foreign)
+    only_excluded = {t for text in foreign for t in text.split()} - set(english_tokens(posts))
+    assert {"das", "furchtbar"} <= only_excluded
+    once = english_tokens(posts)
+    run_corpus(posts, planted_pipeline())
+    assert calls == once
+    # the memo dies with the call: a second run normalizes every token again
+    calls.clear()
+    run_corpus(posts, planted_pipeline())
+    assert calls == once
+    # and with the batch: each batch of 7 normalizes its own tokens once
+    calls.clear()
+    run_corpus(posts, planted_pipeline(batch_size=7))
+    assert calls == sum((english_tokens(posts[start:start + 7])
+                         for start in range(0, len(posts), 7)), Counter())
+
+
+def test_importing_the_pipeline_skips_the_thread_pool(tmp_path):
+    import hatescan
+
+    package_parent = os.path.dirname(os.path.dirname(hatescan.__file__))
+    pythonpath = os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hatescan.pipeline; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
