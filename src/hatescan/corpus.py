@@ -442,12 +442,13 @@ def load_examples(path: str) -> LoadedRows:
     return _load(path, parse, one_kind)
 
 
-def _class_key(example) -> str:
+def _example_label(example) -> str:
+    """An example's class: its ``label``, or its ``target``."""
     if hasattr(example, "label"):
         return example.label
     if hasattr(example, "target"):
         return example.target
-    return ""
+    raise TypeError(f"not a labeled example: {example!r}")
 
 
 def _train_size(n: int, fraction: float) -> int:
@@ -479,7 +480,7 @@ def split(dataset, config: SplitConfig):
     if config.stratified:
         groups: dict[str, list] = {}
         for example in original:
-            groups.setdefault(_class_key(example), []).append(example)
+            groups.setdefault(_example_label(example), []).append(example)
         for key in sorted(groups):
             members = groups[key]
             if len(members) < 2:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import _example_label, predict_batch
+from .corpus import _example_label
+from .model import predict_batch
 
 __all__ = [
     "ConfusionMatrix",

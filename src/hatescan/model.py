@@ -43,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .corpus import _example_label
 from .errors import ModelError
 
 __all__ = [
@@ -406,14 +407,6 @@ def weighted_ce_loss(logits: np.ndarray, label: int, weights=1.0):
     grad = w * probs
     grad[label] -= w
     return loss, grad
-
-
-def _example_label(example):
-    if hasattr(example, "label"):
-        return example.label
-    if hasattr(example, "target"):
-        return example.target
-    raise TypeError(f"not a labeled example: {example!r}")
 
 
 class _EarlyStopTracker:

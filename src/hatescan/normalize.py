@@ -12,11 +12,13 @@ emoji key, a whitespace folding key), so ``normalize`` splits a post once
 and runs each token through all the stages in one go.
 
 The language filter is token-local too: ``is_english`` counts the tokens
-whose stripped, lowercased form is a stopword. ``normalize_english`` is the
-batch path the scan takes. It filters and normalizes a list of posts with
-one memo, private to the call, from each raw token to its stopword flag and
-its normalized form, so a token repeated across posts is processed once. Its
-result equals ``normalize(t) if is_english(t) else None`` for each text.
+whose stripped, lowercased form is a stopword. So both functions run one
+code path, a memo (``_Memo``) from each raw token to its stopword flag and
+its normalized form. A call on its own gets a fresh memo and learns from its
+own text only. ``normalize_english``, the batch path the scan takes, shares
+one memo, private to the call, across a list of posts, so a token repeated
+across posts is processed once. Its result equals
+``normalize(t) if is_english(t) else None`` for each text.
 """
 
 from __future__ import annotations
@@ -216,21 +218,18 @@ def is_english(text: str, config: NormalizerConfig | None = None,
     """Heuristic language filter based on stopword density.
 
     A text is kept when at least ``english_threshold`` of its whitespace
-    tokens are English stopwords. Texts under 3 tokens carry too little
+    tokens are English stopwords, a token counting when its form stripped of
+    punctuation and lowercased is one. Texts under 3 tokens carry too little
     signal and default to True. ``_memo`` is ``normalize_english``'s, built
-    for the same config.
+    for the same config; without one the text gets a memo of its own.
     """
     if config is None:
         config = default_config()
-    tokens = text.split() if _memo is None else _memo.split(text)
+    memo = _memo or _Memo(config)
+    tokens = memo.split(text)
     if len(tokens) < 3:
         return True
-    if _memo is None:
-        hits = sum(1 for t in tokens
-                   if t.strip(string.punctuation).lower() in config.english_stopword_set)
-    else:
-        hits = _memo.stopword_hits(tokens)
-    return hits / len(tokens) >= config.english_threshold
+    return memo.stopword_hits(tokens) / len(tokens) >= config.english_threshold
 
 
 def _entity(token: str, rules: _CompiledRules) -> str:
@@ -348,13 +347,10 @@ def normalize(text: str, config: NormalizerConfig | None = None,
     all the stages in one go, and the non-empty results are joined with
     single spaces. The output is the same as running each stage over the
     whole text in turn. ``_memo`` is ``normalize_english``'s, built for the
-    same config.
+    same config; without one the text gets a memo of its own.
     """
-    if _memo is not None:
-        return NormalizedText(" ".join(_memo.normalized_tokens(_memo.split(text))))
-    rules = _compiled(config or default_config())
-    return NormalizedText(" ".join(filter(None, [_normalize_token(token, rules)
-                                                 for token in text.split()])))
+    memo = _memo or _Memo(config or default_config())
+    return NormalizedText(" ".join(memo.normalized_tokens(memo.split(text))))
 
 
 class _Memo:

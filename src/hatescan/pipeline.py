@@ -11,6 +11,12 @@ get their topics in one assignment call and each has its topic's words
 appended first. Counts aggregate into a TargetDistribution (see
 ``distribution``, re-exported here) that reports both the hate rate and the
 per-target makeup of the hateful slice.
+
+Every stage of a batch (normalizing, each model's scoring, topic assignment
+and topic words) goes through ``_each``: one call for the whole batch where
+the stage has one, and otherwise, or if that call raises, one call per post,
+so a post that raises fails alone and is counted as failed. It is the only
+place where the scan catches an error.
 """
 
 from __future__ import annotations
@@ -118,55 +124,54 @@ def classify_post(text: str, pipeline: Pipeline) -> Classification:
     return result
 
 
-def _attempt(fn, *args):
-    """``fn(*args)``, or the exception it raised, so one post fails alone."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - per-post resilience
-        logger.debug("post failed: %s", exc)
-        return exc
+def _each(batch_fn, one_fn, items: list) -> list:
+    """``batch_fn(items)``; if that raises, or there is no ``batch_fn``,
+    ``one_fn(item)`` for each item, or the exception that item raised, so
+    one post fails alone. Every stage is pure, so a retry is harmless."""
+    if batch_fn is not None and items:
+        try:
+            return batch_fn(items)
+        except Exception as exc:  # noqa: BLE001 - retried item by item
+            logger.debug("batch call failed, retrying item by item: %s", exc)
+    results = []
+    for item in items:
+        try:
+            results.append(one_fn(item))
+        except Exception as exc:  # noqa: BLE001 - per-post resilience
+            logger.debug("post failed: %s", exc)
+            results.append(exc)
+    return results
 
 
 def _labels(model, texts: list) -> list:
     """The label ``model`` predicts for each text, or the exception it raised.
 
     The bundled classifier scores all the texts in one ``predict_batch``
-    call. If that call raises, the texts are scored one by one (the model
-    is pure, so asking again is harmless) and only the ones that raise
-    fail.
-    Any other backend (``class_list`` plus ``predict(text)``) is asked text
-    by text, each text once.
+    call; any other backend (``class_list`` plus ``predict(text)``) is asked
+    text by text, each text once.
     """
-    if not texts:
-        return []
-    if isinstance(model, TrainedClassifier):
-        try:
-            return [label for label, _ in predict_batch(model, texts)]
-        except Exception as exc:  # noqa: BLE001 - rescored text by text
-            logger.debug("batch scoring failed, scoring text by text: %s", exc)
-    return [_attempt(lambda t: model.predict(t)[0], text) for text in texts]
+    batch = ((lambda ts: [label for label, _ in predict_batch(model, ts)])
+             if isinstance(model, TrainedClassifier) else None)
+    return _each(batch, lambda t: model.predict(t)[0], texts)
 
 
 def _staged(texts: list, topic_model) -> list:
     """The target model's input for each text: the text with its topic's
     words appended, or the exception that stopped it.
 
-    Topics are assigned to all the texts in one ``assign_topics`` call. If
-    that call raises, each text is assigned on its own, so only the texts
-    that raise fail.
+    Topics are assigned to all the texts in one ``assign_topics`` call, and
+    each text then gets its topic's words on its own.
     """
-    if topic_model is None or not texts:
+    if topic_model is None:
         return list(texts)
     from .topics import assign_topic, assign_topics, concat_topic
 
-    try:
-        topics = assign_topics(topic_model, texts)
-    except Exception as exc:  # noqa: BLE001 - assigned text by text
-        logger.debug("batch topic assignment failed, assigning text by text: %s", exc)
-        topics = [_attempt(assign_topic, topic_model, text) for text in texts]
-    return [topic if isinstance(topic, Exception)
-            else _attempt(concat_topic, text, topic_model, topic)
-            for text, topic in zip(texts, topics)]
+    def stage(pair):
+        text, topic = pair
+        return topic if isinstance(topic, Exception) else concat_topic(text, topic_model, topic)
+
+    topics = _each(partial(assign_topics, topic_model), partial(assign_topic, topic_model), texts)
+    return _each(None, stage, list(zip(texts, topics)))
 
 
 def _classify_batch(texts: list, pipeline: Pipeline):
@@ -181,36 +186,19 @@ def _classify_batch(texts: list, pipeline: Pipeline):
     detect_s = time.perf_counter() - started
     results = [label if isinstance(label, Exception) else Classification(label=NORMAL)
                for label in labels]
-    hateful, staged = [], []
     flagged = [i for i, label in enumerate(labels) if label == HATE]
+    # a flagged post holds its staged text, or the exception that stopped
+    # it, until the target model labels it
     for i, text in zip(flagged, _staged([texts[i] for i in flagged], pipeline.topic_model)):
-        if isinstance(text, Exception):
-            results[i] = text
-        else:
-            hateful.append(i)
-            staged.append(text)
+        results[i] = text
+    flagged = [i for i in flagged if not isinstance(results[i], Exception)]
     started = time.perf_counter()
-    targets = _labels(pipeline.target_model, staged)
+    targets = _labels(pipeline.target_model, [results[i] for i in flagged])
     target_s = time.perf_counter() - started
-    for i, target in zip(hateful, targets):
+    for i, target in zip(flagged, targets):
         results[i] = (target if isinstance(target, Exception)
                       else Classification(label=HATE, target=target))
     return results, detect_s, target_s
-
-
-def _normalized(texts: list) -> list:
-    """``normalize_english`` of the texts: each one's normalized form, None
-    if it is excluded, or the exception that stopped it.
-
-    The whole batch goes through one call, so each distinct token is
-    filtered and normalized once. If that call raises, each text is
-    normalized on its own, so only the texts that raise fail.
-    """
-    try:
-        return normalize_english(texts)
-    except Exception as exc:  # noqa: BLE001 - normalized text by text
-        logger.debug("batch normalization failed, normalizing text by text: %s", exc)
-    return [_attempt(lambda t: normalize_english([t])[0], text) for text in texts]
 
 
 def _scan_batch(batch: list, pipeline: Pipeline):
@@ -219,7 +207,8 @@ def _scan_batch(batch: list, pipeline: Pipeline):
     failed."""
     outcomes = [("failed", None)] * len(batch)
     english, texts = [], []
-    for i, text in enumerate(_normalized([getattr(post, "text", post) for post in batch])):
+    for i, text in enumerate(_each(normalize_english, lambda t: normalize_english([t])[0],
+                                   [getattr(post, "text", post) for post in batch])):
         if text is None:
             outcomes[i] = ("excluded", None)
         elif not isinstance(text, Exception):

@@ -424,9 +424,20 @@ def load_topics(path: str) -> TopicModel:
                              " the embedder changed, so the topic model must be refit")
         if doc["version"] != 2:
             raise ModelError(f"{path}: unsupported topic model version {doc['version']}")
+        for name, kind in (("labels", list), ("names", dict), ("name_words", dict),
+                           ("params", dict), ("centroids", dict), ("ceilings", dict),
+                           ("embedder", dict)):
+            if not isinstance(doc[name], kind):
+                raise ModelError(f"{path}: {name} is not a JSON "
+                                 + ("array" if kind is list else "object"))
         emb_cfg = doc["embedder"]
         if emb_cfg.get("kind") != "tfidf_projection":
             raise ModelError(f"{path}: unknown embedder kind {emb_cfg.get('kind')!r}")
+        if not isinstance(emb_cfg.get("idf"), dict):
+            raise ModelError(f"{path}: the embedder's idf is not a JSON object")
+        if not all(isinstance(words, list) and all(isinstance(w, str) and w for w in words)
+                   for words in doc["name_words"].values()):
+            raise ModelError(f"{path}: a topic's name words are not a list of non-empty strings")
         model = TopicModel(
             labels=tuple(int(x) for x in doc["labels"]),
             names={int(k): str(v) for k, v in doc["names"].items()},
@@ -444,6 +455,8 @@ def load_topics(path: str) -> TopicModel:
                          f" {model.embedder.dim}")
     if model.centroids.keys() != model.ceilings.keys():
         raise ModelError(f"{path}: the centroid and ceiling topic ids differ")
+    if not model.names.keys() == model.name_words.keys() == model.centroids.keys() | {OUTLIER}:
+        raise ModelError(f"{path}: the names, name words and centroids cover different topic ids")
     values = [model.embedder._idf, *model.centroids.values(), [*model.ceilings.values()]]
     if not all(np.isfinite(v).all() for v in values):
         raise ModelError(f"{path}: a non-finite idf, centroid or ceiling value")

@@ -476,6 +476,44 @@ def test_run_with_a_version_1_topic_file_asks_for_a_refit(tmp_path, capsys):
     assert not (tmp_path / "d.json").exists()
 
 
+@pytest.fixture(scope="module")
+def scan_files(tmp_path_factory):
+    """A detector, a target model, a fitted topic file and a corpus, and the
+    report bytes a run over them writes."""
+    tmp = tmp_path_factory.mktemp("scan")
+    files = {"detector": trained_detector(tmp), "target": trained_target_model(tmp),
+             "corpus": corpus_file(tmp), "topics": str(tmp / "topics.json")}
+    assert main(["topics", "fit", "--in", topic_corpus_file(tmp),
+                 "--out", files["topics"]]) == 0
+    assert run_report(files, files["topics"], tmp / "d.json") == 0
+    files["report"] = (tmp / "d.json").read_bytes()
+    return files
+
+
+def run_report(files, topics, out):
+    return main(["run", "--corpus", files["corpus"], "--out", str(out),
+                 "--detector", files["detector"], "--target-model", files["target"],
+                 "--topics", topics])
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, value)
+    for field in ("version", "labels", "names", "name_words", "params", "centroids",
+                  "ceilings", "embedder")
+    for value in (None, 1, "x", [], {}, True)
+] + [("name_words", {"0": [1.0]})])
+def test_a_wrong_typed_topic_file_field_is_refused_or_changes_nothing(scan_files, tmp_path,
+                                                                      field, value):
+    with open(scan_files["topics"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    topics = tmp_path / "topics.json"
+    topics.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "d.json"
+    code = run_report(scan_files, str(topics), out)
+    assert code == 3 or (code == 0 and out.read_bytes() == scan_files["report"])
+
+
 def test_plain_text_corpus_streams_after_an_eager_open(tmp_path):
     from hatescan.cli import _read_texts
 

@@ -1,5 +1,7 @@
 """Unit and property tests for text normalization."""
 
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,11 +200,25 @@ BATCHES = st.lists(TEXTS, min_size=1, max_size=5).flatmap(
     lambda drawn: st.lists(st.one_of(st.sampled_from(drawn), TEXTS), max_size=12))
 
 
+def stopword_dense(text: str, config: NormalizerConfig) -> bool:
+    """The language filter written out on its own: a text of 3 or more
+    whitespace tokens is English when at least ``english_threshold`` of them
+    are stopwords once stripped of punctuation and lowercased."""
+    tokens = text.split()
+    if len(tokens) < 3:
+        return True
+    hits = sum(1 for t in tokens
+               if t.strip(string.punctuation).lower() in config.english_stopword_set)
+    return hits / len(tokens) >= config.english_threshold
+
+
 @pytest.mark.parametrize("config", [default_config(), CUSTOM_CONFIG], ids=["default", "custom"])
 @settings(max_examples=300, deadline=None)
 @given(BATCHES)
 def test_normalize_english_matches_per_post_calls(config, texts: list) -> None:
-    want = [normalize(t, config) if is_english(t, config) else None for t in texts]
+    english = [stopword_dense(t, config) for t in texts]
+    assert [is_english(t, config) for t in texts] == english
+    want = [reference_normalize(t, config) if keep else None for t, keep in zip(texts, english)]
     got = normalize_english(texts, config)
     assert got == want
     assert [type(text) for text in got] == [type(text) for text in want]
