@@ -87,28 +87,14 @@ def _coerce(action: argparse.Action, raw: str):
     return raw
 
 
-def _apply_config(subparsers: dict, values: dict) -> None:
-    """Install config values as subparser defaults; explicit flags still win."""
+def _apply_config(sub: argparse.ArgumentParser, values: dict) -> None:
+    """Install config values as defaults of the subcommand being run;
+    explicit flags still win."""
+    actions = {action.dest: action for action in sub._actions}
     for key, raw in values.items():
-        matched = False
-        for sub in subparsers.values():
-            for action in sub._actions:
-                if action.dest == key:
-                    sub.set_defaults(**{key: _coerce(action, raw)})
-                    matched = True
-        if not matched:
+        if key not in actions:
             raise UsageError(f"unknown config key: {key}")
-
-
-def _prescan_config(argv) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config needs a path")
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+        sub.set_defaults(**{key: _coerce(actions[key], raw)})
 
 
 # ----------------------------------------------------------------- helpers
@@ -514,22 +500,7 @@ def cmd_report(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
-def _build_parser():
-    parser = _Parser(prog="hatescan", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="key=value defaults file")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log progress details to stderr")
-    commands = parser.add_subparsers(dest="command", parser_class=_Parser)
-    registry: dict[str, argparse.ArgumentParser] = {}
-
-    def sub(name, handler, **kwargs):
-        p = commands.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        registry[name] = p
-        return p
-
-    p = sub("ingest", cmd_ingest, help="convert a raw corpus to examples")
+def _ingest_args(p) -> None:
     p.add_argument("--format", required=True,
                    choices=["parler", "hatexplain", "dialoconan",
                             "toxigen-small", "toxigen-large", "tap"])
@@ -540,12 +511,14 @@ def _build_parser():
     p.add_argument("--keep-politician", action="store_true",
                    help="keep the sixth class instead of folding it to Other")
 
-    p = sub("normalize", cmd_normalize, help="normalize text")
+
+def _normalize_args(p) -> None:
     p.add_argument("--text")
     p.add_argument("--in", dest="infile")
     p.add_argument("--out")
 
-    p = sub("augment", cmd_augment, help="back-translate a training file")
+
+def _augment_args(p) -> None:
     p.add_argument("--langs", default="es,de,fr")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
@@ -553,25 +526,23 @@ def _build_parser():
     p.add_argument("--url", help="HTTP translation endpoint")
     p.add_argument("--max-parallel", type=int, default=4)
 
-    topics = sub("topics", None, help="fit or apply a topic model")
-    topic_sub = topics.add_subparsers(dest="topics_command", parser_class=_Parser)
-    p = topic_sub.add_parser("fit")
-    p.set_defaults(handler=cmd_topics_fit)
-    registry["topics fit"] = p
+
+def _topics_fit_args(p) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grid", help="comma list of min_cluster_size:min_samples")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-samples-floor", type=int, default=1)
-    p = topic_sub.add_parser("assign")
-    p.set_defaults(handler=cmd_topics_assign)
-    registry["topics assign"] = p
+
+
+def _topics_assign_args(p) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
 
-    p = sub("train", cmd_train, help="train a detector or target classifier")
+
+def _train_args(p) -> None:
     p.add_argument("--task", required=True, choices=["detect", "target"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
@@ -596,7 +567,8 @@ def _build_parser():
     p.add_argument("--hash-dim", type=int, default=2**18)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub("evaluate", cmd_evaluate, help="score a model on a dataset")
+
+def _evaluate_args(p) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--positive", help="binary positive class, e.g. hate")
@@ -609,7 +581,8 @@ def _build_parser():
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
 
-    p = sub("run", cmd_run, help="stream a corpus through both stages")
+
+def _run_args(p) -> None:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--detector", required=True)
@@ -625,7 +598,8 @@ def _build_parser():
                         "pass, and at most workers x batch-size posts are "
                         "held at once")
 
-    p = sub("explain", cmd_explain, help="explain one prediction")
+
+def _explain_args(p) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--class", dest="cls", required=True)
@@ -635,22 +609,114 @@ def _build_parser():
     p.add_argument("--features", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub("report", cmd_report, help="re-render a distribution file")
+
+def _report_args(p) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=list(RENDERERS), default="text-chart")
     p.add_argument("--out")
 
+
+# Every subcommand, in --help order: its name, then (handler, help line,
+# function adding its flags). A group ("topics") has no handler and no
+# flags; the entries named "group subcommand" after it hang under it, and
+# carry no help line, so the group's help lists them only by name.
+_COMMANDS = {
+    "ingest": (cmd_ingest, "convert a raw corpus to examples", _ingest_args),
+    "normalize": (cmd_normalize, "normalize text", _normalize_args),
+    "augment": (cmd_augment, "back-translate a training file", _augment_args),
+    "topics": (None, "fit or apply a topic model", None),
+    "topics fit": (cmd_topics_fit, None, _topics_fit_args),
+    "topics assign": (cmd_topics_assign, None, _topics_assign_args),
+    "train": (cmd_train, "train a detector or target classifier", _train_args),
+    "evaluate": (cmd_evaluate, "score a model on a dataset", _evaluate_args),
+    "run": (cmd_run, "stream a corpus through both stages", _run_args),
+    "explain": (cmd_explain, "explain one prediction", _explain_args),
+    "report": (cmd_report, "re-render a distribution file", _report_args),
+}
+
+
+def _build_parser(command: str | None = None):
+    """The top-level parser, with the subparser of every `_COMMANDS` entry,
+    or, given a command such as "run" or "topics fit", with that one's
+    alone (and its group's). Also returns the subparsers it built, by
+    command name."""
+    parser = _Parser(prog="hatescan", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--config", help="key=value defaults file")
+    parser.add_argument("--verbose", action="store_true",
+                        help="log progress details to stderr")
+    groups = {"": parser.add_subparsers(dest="command", parser_class=_Parser)}
+    registry: dict[str, argparse.ArgumentParser] = {}
+    for name, (handler, help_text, add_arguments) in _COMMANDS.items():
+        if command is not None and not (command + " ").startswith(name + " "):
+            continue
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf, **({"help": help_text} if help_text else {}))
+        if add_arguments is None:
+            groups[name] = p.add_subparsers(dest=f"{name}_command", parser_class=_Parser)
+        else:
+            p.set_defaults(handler=handler)
+            add_arguments(p)
+            registry[name] = p
     return parser, registry
+
+
+def _scan_argv(argv) -> tuple[str | None, str | None]:
+    """One walk over argv, ahead of argparse. Returns the `_COMMANDS` entry
+    with flags that argv runs (None when argv asks for the top-level help
+    or version, or names no such command) and the path given to the first
+    --config anywhere in argv (None without one)."""
+    command = config_path = None
+    decided = False
+    config_value = -1  # index of the word --config takes
+    for i, word in enumerate(argv):
+        if i == config_value:
+            continue
+        if word == "--config":
+            config_value = i + 1
+            if config_path is None:
+                if config_value == len(argv):
+                    raise UsageError("--config needs a path")
+                config_path = argv[config_value]
+        elif word.startswith("--config="):
+            if config_path is None:
+                config_path = word.split("=", 1)[1]
+        elif decided:
+            continue
+        elif word in ("-h", "--help", "--version"):
+            decided = True
+        elif not word.startswith("-"):
+            decided = True
+            if word in _COMMANDS and _COMMANDS[word][2] is None:
+                word += " " + (argv[i + 1] if i + 1 < len(argv) else "")
+            command = word if word in _COMMANDS else None
+    return command, config_path
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv with a parser holding only the command it names. A usage
+    error there is parsed again with every command, so its message is the
+    one the full parser gives (say, the list of valid command names)."""
+    command, config_path = _scan_argv(argv)
+    values = _read_config(config_path) if config_path else {}
+
+    def parse(parser, registry):
+        if command is not None:
+            _apply_config(registry[command], values)
+        return parser.parse_args(argv)
+
+    if command is not None:
+        try:
+            return parse(*_build_parser(command))
+        except UsageError:
+            pass
+    return parse(*_build_parser())
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser, registry = _build_parser()
-        config_path = _prescan_config(argv)
-        if config_path:
-            _apply_config(registry, _read_config(config_path))
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import hatescan
+from hatescan import cli
 from hatescan.cli import main
 from hatescan.corpus import LabeledExample, TargetExample, load_examples, save_examples
 from hatescan.model import Hyperparams
@@ -100,6 +101,100 @@ def test_missing_required_flag_is_usage_error():
     assert main(["train", "--task", "detect"]) == 1
 
 
+# one valid argv per command, each naming the command it runs
+VALID_ARGV = {
+    "ingest": ["ingest", "--format", "tap", "--in", "a.jsonl", "--out", "b.jsonl"],
+    "normalize": ["--verbose", "normalize", "--text", "x"],
+    "augment": ["augment", "--in", "a.jsonl", "--out", "b.jsonl", "--url", "http://x/"],
+    "topics fit": ["topics", "fit", "--in", "a.txt", "--out", "t.json", "--dim", "8"],
+    "topics assign": ["topics", "assign", "--model", "t.json", "--in", "a.txt"],
+    "train": ["--config", "run", "train", "--task", "detect", "--in", "a.jsonl",
+              "--out", "m.bin", "--weighted", "--lr", "0.5"],
+    "evaluate": ["evaluate", "--model", "m.bin", "--data", "a.jsonl", "--format", "json"],
+    "run": ["--config=c.cfg", "run", "--corpus", "a.txt", "--out", "d.json",
+            "--detector", "d.bin", "--target-model", "t.bin", "--workers", "2"],
+    "explain": ["explain", "--model", "m.bin", "--text", "x", "--class", "hate"],
+    "report": ["report", "--in", "d.json", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("command", list(VALID_ARGV))
+def test_the_parser_of_one_command_parses_like_the_full_parser(command):
+    argv = VALID_ARGV[command]
+    assert cli._scan_argv(argv)[0] == command
+    lean = cli._build_parser(command)[0].parse_args(argv)
+    assert lean == cli._build_parser()[0].parse_args(argv)
+    assert lean.handler is cli._COMMANDS[command][0]
+
+
+@pytest.mark.parametrize("argv, found", [
+    (["--config", "a.cfg", "normalize", "--text", "x"], ("normalize", "a.cfg")),
+    (["--config=a.cfg", "--config", "b.cfg", "report"], ("report", "a.cfg")),
+    (["--config", "report", "run", "--config"], ("run", "report")),
+    (["topics", "--config", "a.cfg", "fit"], (None, "a.cfg")),
+    (["run", "--text", "--config=", "x"], ("run", "")),
+    (["--help", "--config", "a.cfg"], (None, "a.cfg")),
+    (["topics"], (None, None)),
+    (["--verbose", "topics", "assign"], ("topics assign", None)),
+])
+def test_one_walk_finds_the_command_and_the_first_config(argv, found):
+    assert cli._scan_argv(argv) == found
+
+
+@pytest.mark.parametrize("argv", [["--config"], ["normalize", "--text", "--config"]])
+def test_a_config_flag_without_a_path_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "usage error: --config needs a path\n"
+
+
+def test_main_builds_only_the_parser_of_the_command_it_runs(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda *a: built.append(a) or build(*a))
+    assert main(["normalize", "--text", "X"]) == 0
+    assert main(["topics", "fit"]) == 1
+    assert built == [("normalize",), ("topics fit",), ()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["topics", "fit", "--in", "a.txt"],
+    ["train", "--task", "nope", "--in", "a", "--out", "b"],
+    ["report", "--in", "d.json", "--format", "pdf"],
+    ["run", "--corpus", "a", "--out", "b", "--detector", "c", "--target-model", "d",
+     "--workers", "two"],
+    ["explain", "--model", "m", "--text", "x", "--class", "hate", "--samples", "1.5"],
+    ["normalize", "--text", "x", "--bogus"],
+    ["--bogus", "normalize", "--text", "x"],
+    ["run", "--version"],
+    ["frobnicate"],
+    ["topics"],
+    ["topics", "bogus"],
+    [],
+    ["--verbose"],
+    ["--help"],
+    ["--version"],
+    ["-h", "run"],
+    ["run", "--help"],
+    ["topics", "--help"],
+    ["topics", "fit", "--help"],
+    ["topics", "assign", "-h"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_the_parser_of_one_command_fails_like_the_full_parser(argv, monkeypatch, capsys):
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help and --version
+            code = exc.code
+        return code, capsys.readouterr()
+
+    lean = outcome()
+    scan = cli._scan_argv
+    monkeypatch.setattr(cli, "_scan_argv", lambda argv: (None, scan(argv)[1]))
+    assert outcome() == lean
+    assert lean[1].err.startswith("usage error: ") == (lean[0] == 1)
+
+
 def _pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(REPO_ROOT, "pyproject.toml"), "rb") as fh:
@@ -140,12 +235,13 @@ def test_building_the_parser_imports_no_numpy(tmp_path):
         filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys; from hatescan.cli import _build_parser; _build_parser(); "
-         "print('numpy' in sys.modules)"],
+         "import sys; from hatescan.cli import _build_parser; "
+         "_build_parser('run'); print('numpy' in sys.modules); "
+         "_build_parser(); print('numpy' in sys.modules)"],
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": pythonpath})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.skipif(shutil.which("hatescan") is None,
@@ -707,10 +803,28 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_config_bad_value_is_usage_error(tmp_path):
+def test_config_bad_value_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "hatescan.cfg"
     cfg.write_text("epochs=often\n")
+    assert main(["--config", str(cfg), "train", "--task", "detect",
+                 "--in", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "m.bin")]) == 1
+    assert "config key 'epochs': cannot parse 'often'" in capsys.readouterr().err
+
+
+def test_config_key_of_another_subcommand_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "hatescan.cfg"
+    cfg.write_text("epochs=5\n")
     assert main(["--config", str(cfg), "normalize", "--text", "x"]) == 1
+    assert capsys.readouterr().err == "usage error: unknown config key: epochs\n"
+    # a nested subcommand's keys are checked against that subcommand alone
+    cfg.write_text("dim=8\n")
+    assert main(["--config", str(cfg), "topics", "assign",
+                 "--model", "m.json", "--in", "x.txt"]) == 1
+    assert capsys.readouterr().err == "usage error: unknown config key: dim\n"
+    # a value checked only against the subcommand run: ingest has no json format
+    cfg.write_text("format=json\n")
+    assert main(["--config", str(cfg), "evaluate", "--model", str(tmp_path / "none.bin"),
+                 "--data", "x.jsonl"]) == 3
 
 
 def test_config_missing_file_is_usage_error(tmp_path):
